@@ -58,8 +58,7 @@ constexpr std::uint64_t kRecordOpsPerSession = 1000;
 /// Calibrate the per-operation cost of the metrics hot path (one counter add
 /// plus one histogram record on pre-resolved handles, the way instrumented
 /// code actually uses them) and return the projected overhead as a percent
-/// of `session_wall_s`. With EMUTILE_METRICS_DISABLED both ops compile to
-/// no-ops and this measures (and certifies) approximately zero.
+/// of `session_wall_s`.
 double metrics_overhead_pct(double session_wall_s) {
   MetricsRegistry registry;
   MetricCounter& counter = registry.counter("bench.calibration.count");
@@ -89,7 +88,7 @@ constexpr std::uint64_t kSpanOpsPerSession = 64;
 
 /// Same calibration for the tracing hot path: one full ScopedSpan
 /// open/close cycle (TLS frame push/pop + striped ring append), projected
-/// onto a per-session span budget. Compiled out, it certifies ~zero.
+/// onto a per-session span budget.
 double tracing_overhead_pct(double session_wall_s) {
   Tracer tracer;
   constexpr std::uint64_t kCalibrationSpans = 100'000;
@@ -101,8 +100,8 @@ double tracing_overhead_pct(double session_wall_s) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   // Defeat dead-code elimination: the tracer must have buffered something
-  // (ring capacity bounds how much survives) unless tracing is compiled out.
-  if (Tracer::enabled() && tracer.collect(false).empty())
+  // (ring capacity bounds how much survives).
+  if (tracer.collect(false).empty())
     std::cerr << "calibration anomaly\n";
   if (session_wall_s <= 0.0) return 0.0;
   const double per_span_s = elapsed_s / static_cast<double>(kCalibrationSpans);

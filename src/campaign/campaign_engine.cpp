@@ -182,16 +182,13 @@ SessionOutcome run_campaign_session(const CampaignSpec& spec,
                    std::string("session.phase.") + to_string(phase));
     }
   };
-  std::shared_ptr<PhaseSpans> phase_spans;
-  if (Tracer::enabled()) {
-    phase_spans = std::make_shared<PhaseSpans>();
-    const auto user_hook = std::move(session.hooks.on_phase);
-    session.hooks.on_phase = [user_hook, phase_spans](SessionPhase phase) {
-      if (user_hook && !user_hook(phase)) return false;
-      phase_spans->enter(phase);
-      return true;
-    };
-  }
+  const auto phase_spans = std::make_shared<PhaseSpans>();
+  const auto phase_hook = std::move(session.hooks.on_phase);
+  session.hooks.on_phase = [phase_hook, phase_spans](SessionPhase phase) {
+    if (phase_hook && !phase_hook(phase)) return false;
+    phase_spans->enter(phase);
+    return true;
+  };
   if (cancel) {
     // Compose campaign cancellation with any caller-provided hook.
     const auto user_hook = std::move(session.hooks.on_phase);
@@ -202,7 +199,7 @@ SessionOutcome run_campaign_session(const CampaignSpec& spec,
   }
   try {
     out.report = run_debug_session(golden, session);
-    if (phase_spans) phase_spans->open.reset();
+    phase_spans->open.reset();
     if (baseline_wall_seconds > 0.0) {
       out.report.phase_seconds[static_cast<std::size_t>(
           SessionPhase::kBuild)] += baseline_wall_seconds;
@@ -223,7 +220,7 @@ SessionOutcome run_campaign_session(const CampaignSpec& spec,
       }
     }
   } catch (const std::exception& e) {
-    if (phase_spans) phase_spans->open.reset();
+    phase_spans->open.reset();
     out.error = e.what();
   }
   // A cancelled outcome reflects this driver's state, not the spec, and an

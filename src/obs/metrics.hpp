@@ -25,11 +25,9 @@
 ///                                  equals the sum of its instance snapshots,
 ///                                  the same contract CampaignReport::merge
 ///                                  keeps for shard reports
-///   recording can be compiled out  building with EMUTILE_METRICS_DISABLED
-///                                  turns every record operation into a
-///                                  no-op; deterministic artifacts are
-///                                  byte-identical either way because
-///                                  metrics never feed the report emitters
+///   reports never read metrics     metrics never feed the report
+///                                  emitters, so deterministic artifacts
+///                                  do not depend on what was recorded
 ///
 /// The histogram is the cheap log-scale kind (cf. joernblog histogram.c):
 /// values 0..7 get exact buckets, larger values land in one of 8 sub-buckets
@@ -58,11 +56,7 @@ namespace emutile {
 class MetricCounter {
  public:
   void add(std::uint64_t delta = 1) {
-#ifndef EMUTILE_METRICS_DISABLED
     value_.fetch_add(delta, std::memory_order_relaxed);
-#else
-    static_cast<void>(delta);
-#endif
   }
   [[nodiscard]] std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
@@ -79,18 +73,10 @@ class MetricCounter {
 class MetricGauge {
  public:
   void set(std::int64_t v) {
-#ifndef EMUTILE_METRICS_DISABLED
     value_.store(v, std::memory_order_relaxed);
-#else
-    static_cast<void>(v);
-#endif
   }
   void add(std::int64_t delta = 1) {
-#ifndef EMUTILE_METRICS_DISABLED
     value_.fetch_add(delta, std::memory_order_relaxed);
-#else
-    static_cast<void>(delta);
-#endif
   }
   void sub(std::int64_t delta = 1) { add(-delta); }
   [[nodiscard]] std::int64_t value() const {
@@ -138,15 +124,11 @@ class MetricHistogram {
   }
 
   void record(std::uint64_t v) {
-#ifndef EMUTILE_METRICS_DISABLED
     buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
     atomic_min(min_, v);
     atomic_max(max_, v);
-#else
-    static_cast<void>(v);
-#endif
   }
 
   [[nodiscard]] std::uint64_t count() const {

@@ -103,12 +103,10 @@ Tracer::Stripe& Tracer::stripe_here() {
 }
 
 TraceContext Tracer::mint_trace() {
-  if (!enabled()) return {};
   return TraceContext{fresh_id(), 0};
 }
 
 TraceContext Tracer::child_context(TraceContext parent) {
-  if (!enabled()) return {};
   return TraceContext{parent.valid() ? parent.trace_id : fresh_id(),
                       fresh_id()};
 }
@@ -116,7 +114,7 @@ TraceContext Tracer::child_context(TraceContext parent) {
 void Tracer::record_span(std::string_view name, TraceContext ctx,
                          std::uint64_t parent_span, std::uint64_t start_us,
                          std::uint64_t dur_us) {
-  if (!enabled() || !ctx.valid()) return;
+  if (!ctx.valid()) return;
   RawSpan raw;
   raw.name = intern(name);
   raw.trace_id = ctx.trace_id;
@@ -137,7 +135,6 @@ void Tracer::record_span(std::string_view name, TraceContext ctx,
 }
 
 TraceContext Tracer::current() const {
-  if (!enabled()) return {};
   for (auto it = t_span_stack.rbegin(); it != t_span_stack.rend(); ++it)
     if (it->owner == this) return it->ctx;
   return {};
@@ -201,7 +198,6 @@ void Tracer::finish() {
 
 std::vector<TraceSpan> Tracer::collect(bool include_open) const {
   std::vector<TraceSpan> out;
-  if (!enabled()) return out;
   std::vector<std::string> names;
   {
     std::lock_guard<std::mutex> lock(names_mutex_);
@@ -286,14 +282,10 @@ ScopedSpan::ScopedSpan(Tracer& tracer, std::string_view name)
 
 ScopedSpan::ScopedSpan(Tracer& tracer, std::string_view name,
                        TraceContext parent)
-    : tracer_(&tracer) {
-  if (!Tracer::enabled()) return;
-  ctx_ = tracer.begin(name, parent);
-}
+    : tracer_(&tracer), ctx_(tracer.begin(name, parent)) {}
 
 ScopedSpan::~ScopedSpan() {
-  if (!Tracer::enabled() || !ctx_.valid()) return;
-  tracer_->finish();
+  if (ctx_.valid()) tracer_->finish();
 }
 
 }  // namespace emutile

@@ -27,12 +27,9 @@
 ///                                  with dur = now - start, which is what
 ///                                  the fleet console's "slowest open spans"
 ///                                  view reads
-///   compiled out with metrics      under EMUTILE_METRICS_DISABLED every
-///                                  operation is a no-op and mint_trace()
-///                                  returns the invalid context; traces are
-///                                  sidecar artifacts and never feed the
-///                                  deterministic report emitters, so
-///                                  report bytes are identical either way
+///   reports never read spans       traces are sidecar artifacts and
+///                                  never feed the deterministic report
+///                                  emitters
 ///
 /// The active-span stack is thread-local and owner-tagged: a frame knows
 /// which Tracer pushed it, so tests running private Tracer instances never
@@ -80,24 +77,14 @@ struct TraceSpan {
 
 class ScopedSpan;
 
-/// Span recorder. All methods are thread-safe; recording methods are no-ops
-/// under EMUTILE_METRICS_DISABLED.
+/// Span recorder. All methods are thread-safe.
 class Tracer {
  public:
   Tracer();
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  [[nodiscard]] static constexpr bool enabled() {
-#ifndef EMUTILE_METRICS_DISABLED
-    return true;
-#else
-    return false;
-#endif
-  }
-
-  /// A fresh root context: new trace id, no span yet. Invalid when tracing
-  /// is compiled out.
+  /// A fresh root context: new trace id, no span yet.
   [[nodiscard]] TraceContext mint_trace();
 
   /// A context for a child span of `parent` without opening a span here —

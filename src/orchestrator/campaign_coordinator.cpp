@@ -155,12 +155,10 @@ bool CampaignCoordinator::dispatch(ShardWork& shard) {
     // root; the context travels as the SUBMIT traceparent so the remote
     // campaign's spans hang off this exact attempt (re-dispatches stay
     // distinguishable in the stitched trace).
-    const bool traced = Tracer::enabled() && run_root_.valid();
     const TraceContext dispatch_ctx =
-        traced ? Tracer::global().child_context(run_root_) : TraceContext{};
-    const std::string traceparent =
-        traced ? format_traceparent(dispatch_ctx) : std::string();
-    const std::uint64_t dispatch_start_us = traced ? journal_now_us() : 0;
+        Tracer::global().child_context(run_root_);
+    const std::string traceparent = format_traceparent(dispatch_ctx);
+    const std::uint64_t dispatch_start_us = journal_now_us();
     try {
       if (instance.config.address.is_wire()) {
         shard.progress.campaign_id = client_for(instance).submit(
@@ -210,10 +208,9 @@ bool CampaignCoordinator::dispatch(ShardWork& shard) {
       instance.client.reset();
       continue;
     }
-    if (traced)
-      Tracer::global().record_span("orchestrate.dispatch", dispatch_ctx,
-                                   run_root_.span_id, dispatch_start_us,
-                                   journal_now_us() - dispatch_start_us);
+    Tracer::global().record_span("orchestrate.dispatch", dispatch_ctx,
+                                 run_root_.span_id, dispatch_start_us,
+                                 journal_now_us() - dispatch_start_us);
     const bool by_affinity =
         affinity_overlap_impl(instance.history, shard.job_begin,
                               shard.job_end) > 0;
@@ -646,12 +643,8 @@ OrchestrationResult CampaignCoordinator::run(const CampaignSpec& spec) {
   // Root the run's trace: adopt the caller's context or mint a fresh trace.
   // orchestrate.run is synthesized at the end (record_span) rather than
   // scoped, so dispatch() can parent on it from the first tick.
-  run_root_ = TraceContext{};
-  std::uint64_t run_start_us = 0;
-  if (Tracer::enabled()) {
-    run_root_ = Tracer::global().child_context(options_.trace);
-    run_start_us = journal_now_us();
-  }
+  run_root_ = Tracer::global().child_context(options_.trace);
+  const std::uint64_t run_start_us = journal_now_us();
 
   // A spec that cannot travel the wire (custom netlist builders) can still
   // be orchestrated — entirely in-process.
@@ -843,61 +836,59 @@ OrchestrationResult CampaignCoordinator::run(const CampaignSpec& spec) {
   // exchange midpoint, so midpoint - now_us estimates the remote→local
   // offset (symmetric-latency assumption, the NTP one). Best-effort like
   // the metrics merge — a dead instance loses its spans, never the run.
-  if (Tracer::enabled() && run_root_.valid()) {
-    Tracer& tracer = Tracer::global();
-    tracer.record_span("orchestrate.run", run_root_,
-                       options_.trace.valid() ? options_.trace.span_id : 0,
-                       run_start_us, journal_now_us() - run_start_us);
-    result.trace = run_root_;
-    if (options_.collect_trace) {
-      std::vector<TraceSpan> stitched =
-          tracer.collect_trace(run_root_.trace_id, /*include_open=*/false);
-      for (InstanceState& instance : instances_) {
-        if (!instance.config.address.is_wire()) continue;
-        try {
-          ServiceClient& client = client_for(instance);
-          const std::uint64_t t0 = journal_now_us();
-          RemoteTraceSpans remote = client.fetch_trace_spans();
-          const std::uint64_t t1 = journal_now_us();
-          const std::int64_t offset =
-              static_cast<std::int64_t>((t0 + t1) / 2) -
-              static_cast<std::int64_t>(remote.now_us);
-          std::vector<TraceSpan> spans = std::move(remote.spans);
-          // Other traces' spans (and still-open ones — no defensible
-          // duration) stay behind.
-          spans.erase(
-              std::remove_if(spans.begin(), spans.end(),
-                             [&](const TraceSpan& s) {
-                               return s.open ||
-                                      s.trace_id != run_root_.trace_id;
-                             }),
-              spans.end());
-          shift_spans(spans, offset);
-          stitched.insert(stitched.end(),
-                          std::make_move_iterator(spans.begin()),
-                          std::make_move_iterator(spans.end()));
-          ++result.trace_instances;
-        } catch (const std::exception& e) {
-          EMUTILE_WARN("fleet instance '" << instance.config.name
-                                          << "' skipped in the trace stitch: "
-                                          << e.what());
-        }
+  Tracer& tracer = Tracer::global();
+  tracer.record_span("orchestrate.run", run_root_,
+                     options_.trace.valid() ? options_.trace.span_id : 0,
+                     run_start_us, journal_now_us() - run_start_us);
+  result.trace = run_root_;
+  if (options_.collect_trace) {
+    std::vector<TraceSpan> stitched =
+        tracer.collect_trace(run_root_.trace_id, /*include_open=*/false);
+    for (InstanceState& instance : instances_) {
+      if (!instance.config.address.is_wire()) continue;
+      try {
+        ServiceClient& client = client_for(instance);
+        const std::uint64_t t0 = journal_now_us();
+        RemoteTraceSpans remote = client.fetch_trace_spans();
+        const std::uint64_t t1 = journal_now_us();
+        const std::int64_t offset =
+            static_cast<std::int64_t>((t0 + t1) / 2) -
+            static_cast<std::int64_t>(remote.now_us);
+        std::vector<TraceSpan> spans = std::move(remote.spans);
+        // Other traces' spans (and still-open ones — no defensible
+        // duration) stay behind.
+        spans.erase(
+            std::remove_if(spans.begin(), spans.end(),
+                           [&](const TraceSpan& s) {
+                             return s.open ||
+                                    s.trace_id != run_root_.trace_id;
+                           }),
+            spans.end());
+        shift_spans(spans, offset);
+        stitched.insert(stitched.end(),
+                        std::make_move_iterator(spans.begin()),
+                        std::make_move_iterator(spans.end()));
+        ++result.trace_instances;
+      } catch (const std::exception& e) {
+        EMUTILE_WARN("fleet instance '" << instance.config.name
+                                        << "' skipped in the trace stitch: "
+                                        << e.what());
       }
-      // In-process fleets share one global tracer, so a span can arrive both
-      // locally and over the wire — keep the first copy, then restore the
-      // canonical (start_us, span_id) order the shifts may have disturbed.
-      stitched = dedup_spans(std::move(stitched));
-      std::sort(stitched.begin(), stitched.end(),
-                [](const TraceSpan& a, const TraceSpan& b) {
-                  return a.start_us != b.start_us ? a.start_us < b.start_us
-                                                  : a.span_id < b.span_id;
-                });
-      result.fleet_trace = std::move(stitched);
-      if (options_.journal)
-        options_.journal->record("fleet-trace",
-                                 {{"instances", result.trace_instances},
-                                  {"spans", result.fleet_trace.size()}});
     }
+    // In-process fleets share one global tracer, so a span can arrive both
+    // locally and over the wire — keep the first copy, then restore the
+    // canonical (start_us, span_id) order the shifts may have disturbed.
+    stitched = dedup_spans(std::move(stitched));
+    std::sort(stitched.begin(), stitched.end(),
+              [](const TraceSpan& a, const TraceSpan& b) {
+                return a.start_us != b.start_us ? a.start_us < b.start_us
+                                                : a.span_id < b.span_id;
+              });
+    result.fleet_trace = std::move(stitched);
+    if (options_.journal)
+      options_.journal->record("fleet-trace",
+                               {{"instances", result.trace_instances},
+                                {"spans", result.fleet_trace.size()}});
   }
   // Drop the per-run clients (and their persistent connections) eagerly —
   // a reused coordinator re-dials rather than holding fleet sockets open

@@ -210,10 +210,10 @@ struct OrchestrationResult {
   /// Closed spans from this run's trace, stitched across the fleet: the
   /// coordinator's own spans plus every reachable wire instance's, clock-
   /// offset-corrected, deduplicated by span id, sorted by start. Empty when
-  /// collect_trace is off or tracing is compiled out.
+  /// collect_trace is off.
   std::vector<TraceSpan> fleet_trace;
   std::size_t trace_instances = 0;  ///< instances that contributed spans
-  TraceContext trace{};             ///< the run's root context (invalid when off)
+  TraceContext trace{};             ///< the run's root context
 };
 
 class CampaignCoordinator {

@@ -690,10 +690,9 @@ bool ServiceEndpoint::execute(Conn& conn) {
     // fast path above bypasses it, so record (and trace) here, covering
     // park time.
     reg.histogram("endpoint.request_us.WAIT").record(elapsed_us);
-    if (Tracer::enabled())
-      Tracer::global().record_span(
-          "endpoint.request.WAIT", Tracer::global().child_context({}), 0,
-          conn.exec_start_journal_us, elapsed_us);
+    Tracer::global().record_span(
+        "endpoint.request.WAIT", Tracer::global().child_context({}), 0,
+        conn.exec_start_journal_us, elapsed_us);
   }
   if (elapsed_us > slow_request_us_.load()) {
     reg.counter("endpoint.slow_requests").add();
@@ -750,7 +749,7 @@ std::string ServiceEndpoint::handle_request(const std::string& request) {
     }
   }
   std::optional<ScopedSpan> span;
-  if (Tracer::enabled() && traced_command(series))
+  if (traced_command(series))
     span.emplace(Tracer::global(), "endpoint.request." + series, span_parent);
 
   if (command == "PING") {

@@ -611,7 +611,7 @@ void SessionService::session_unit(Campaign& c, std::size_t job_slot,
   CacheLookup lookup = CacheLookup::kNotConsulted;
   const bool cancel_now = cancelled || c.cancel_flag.load();
   const std::uint64_t started_us = journal_now_us();
-  if (!cancel_now && Tracer::enabled() && c.trace.valid()) {
+  if (!cancel_now && c.trace.valid()) {
     // The time between enqueue and this unit actually starting, as a span
     // child of campaign.run — reconstructed from the enqueue stamp, so the
     // scheduler itself stays tracing-free.
@@ -638,7 +638,7 @@ void SessionService::session_unit(Campaign& c, std::size_t job_slot,
         c.spec, job, c.goldens[job.design_index],
         [&c] { return c.cancel_flag.load(); }, cache_.get(), &lookup,
         &baselines_);
-    if (config_.slow_session_multiple > 0 && Tracer::enabled()) {
+    if (config_.slow_session_multiple > 0) {
       // Slow-span watchdog: compare against the running p99 once the
       // distribution has enough samples to mean something.
       const std::uint64_t session_us = journal_now_us() - started_us;
@@ -786,7 +786,7 @@ void SessionService::finalize(Campaign& c) {
     c.journal->record("finalize", {{"state", to_string(state)},
                                    {"sessions_done", c.sessions_done},
                                    {"cache_hits", c.cache_hits}});
-  if (Tracer::enabled() && c.trace.valid()) {
+  if (c.trace.valid()) {
     // Close the campaign.run span over [submit, now] and export the
     // campaign's closed spans as Chrome trace-event JSON. A sidecar like
     // the journal: failures are swallowed, and the deterministic report

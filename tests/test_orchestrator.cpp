@@ -666,8 +666,6 @@ TEST(CampaignCoordinator, CollectsFleetMetricsAndJournalsTheRun) {
   EXPECT_NE(events.find("\"instances\":2"), std::string::npos) << events;
 }
 
-#ifndef EMUTILE_METRICS_DISABLED
-
 TEST(CampaignCoordinator, StitchedFleetTraceIsParentCleanAcrossInstances) {
   // Three instances, three shards, one trace: the stitched fleet trace must
   // hold spans from the coordinator AND the instances under a single trace
@@ -707,10 +705,12 @@ TEST(CampaignCoordinator, StitchedFleetTraceIsParentCleanAcrossInstances) {
         << span.name << " duplicates a span id";
     names.insert(span.name);
   }
-  for (const TraceSpan& span : result.fleet_trace)
-    if (span.parent_id != 0)
+  for (const TraceSpan& span : result.fleet_trace) {
+    if (span.parent_id != 0) {
       EXPECT_TRUE(ids.count(span.parent_id))
           << span.name << " has an orphan parent reference";
+    }
+  }
 
   // The whole causal chain is present: run -> dispatch -> request ->
   // campaign -> session.
@@ -728,8 +728,6 @@ TEST(CampaignCoordinator, StitchedFleetTraceIsParentCleanAcrossInstances) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"orchestrate.run\""), std::string::npos);
 }
-
-#endif  // EMUTILE_METRICS_DISABLED
 
 TEST(CampaignCoordinator, FallbackDisabledThrowsWhenFleetIsDown) {
   ScratchDir scratch("coord-nofallback");

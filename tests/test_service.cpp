@@ -1209,8 +1209,6 @@ TEST(SessionService, EventJournalRecordsTheCampaignLifecycle) {
       << "journal on/off must not perturb deterministic artifacts";
 }
 
-#ifndef EMUTILE_METRICS_DISABLED
-
 TEST(SessionService, SubmitTraceparentPropagatesThroughToCampaignSpans) {
   ScratchDir scratch("service-traceparent");
   Tracer::global().reset();
@@ -1261,10 +1259,12 @@ TEST(SessionService, SubmitTraceparentPropagatesThroughToCampaignSpans) {
   // upstream span the test invented (the submitter's side of the tree).
   std::set<std::uint64_t> ids;
   for (const TraceSpan& span : trace) ids.insert(span.span_id);
-  for (const TraceSpan& span : trace)
-    if (span.parent_id != 0 && span.parent_id != upstream.span_id)
+  for (const TraceSpan& span : trace) {
+    if (span.parent_id != 0 && span.parent_id != upstream.span_id) {
       EXPECT_TRUE(ids.count(span.parent_id))
           << span.name << " has an orphan parent";
+    }
+  }
 
   // The campaign's own trace.json sidecar loads as Chrome trace-event JSON.
   const std::string trace_json =
@@ -1342,13 +1342,9 @@ TEST(SessionService, SlowRequestsWarnAndCount) {
   EXPECT_GT(after, before);
 }
 
-#endif  // EMUTILE_METRICS_DISABLED
-
 TEST(SessionService, TracingOnOffNeverPerturbsDeterministicArtifacts) {
   // The same campaign submitted with and without an upstream trace context
-  // must produce byte-identical reports — traces are sidecars. (Under
-  // EMUTILE_METRICS_DISABLED this degenerates to two identical runs, which
-  // certifies the compiled-out path the same way.)
+  // must produce byte-identical reports — traces are sidecars.
   ScratchDir scratch("service-trace-determinism");
   ServiceConfig config;
   config.root = scratch.path;
@@ -1373,9 +1369,9 @@ TEST(SessionService, TracingOnOffNeverPerturbsDeterministicArtifacts) {
   EXPECT_EQ(read_file(traced->out_dir / "report.csv"),
             read_file(plain->out_dir / "report.csv"));
   // Every campaign gets a trace (the service mints one when the submitter
-  // brings none), so the sidecar exists exactly when tracing is compiled in.
-  EXPECT_EQ(fs::exists(traced->out_dir / "trace.json"), Tracer::enabled());
-  EXPECT_EQ(fs::exists(plain->out_dir / "trace.json"), Tracer::enabled());
+  // brings none), so both carry the sidecar.
+  EXPECT_TRUE(fs::exists(traced->out_dir / "trace.json"));
+  EXPECT_TRUE(fs::exists(plain->out_dir / "trace.json"));
 }
 
 // ------------------------------------------------------ HELLO + transport ---
@@ -1487,10 +1483,8 @@ TEST(SessionService, PersistentClientReusesOneConnection) {
   auto endpoint = std::make_unique<ServiceEndpoint>(
       service, scratch.path / "serviced.sock", options);
 
-#ifndef EMUTILE_METRICS_DISABLED
   const std::uint64_t handshakes_before =
       MetricsRegistry::global().counter("endpoint.persistent").value();
-#endif
 
   ServiceClient client(ServiceAddress::unix_socket(endpoint->socket_path()));
   client.set_persistent(true);
@@ -1507,12 +1501,10 @@ TEST(SessionService, PersistentClientReusesOneConnection) {
   ServiceClient oneshot(ServiceAddress::unix_socket(endpoint->socket_path()));
   EXPECT_EQ(client.list(), oneshot.list());
 
-#ifndef EMUTILE_METRICS_DISABLED
   EXPECT_EQ(
       MetricsRegistry::global().counter("endpoint.persistent").value(),
       handshakes_before + 1)
       << "five STATUS + one LIST should share a single PERSIST handshake";
-#endif
 
   // Kill the daemon out from under the channel: the client must surface a
   // kIo ServiceError (the coordinator's instance-death signal), not hang.

@@ -63,8 +63,6 @@ TEST(Traceparent, RejectsGarbage) {
 
 // ----------------------------------------------------------- span nesting ---
 
-#ifndef EMUTILE_METRICS_DISABLED
-
 TEST(Tracer, ScopedSpansNestViaTheThreadLocalStack) {
   Tracer tracer;
   TraceContext outer_ctx, inner_ctx;
@@ -329,7 +327,7 @@ TEST(TraceDeterminism, ReportBytesAreIdenticalWithAndWithoutActiveTracing) {
     traced_json = report.to_json();
     traced_csv = report.to_csv();
   }
-  EXPECT_TRUE(Tracer::enabled() ? !Tracer::global().collect().empty() : true);
+  EXPECT_FALSE(Tracer::global().collect().empty());
 
   // ...and with the tracer silent/empty. Bytes must match exactly: traces
   // are sidecars and never feed the deterministic emitters.
@@ -339,25 +337,6 @@ TEST(TraceDeterminism, ReportBytesAreIdenticalWithAndWithoutActiveTracing) {
   EXPECT_EQ(quiet.to_csv(), traced_csv);
   Tracer::global().reset();
 }
-
-#else  // EMUTILE_METRICS_DISABLED
-
-TEST(TracerDisabled, EverythingIsANoOp) {
-  Tracer& tracer = Tracer::global();
-  EXPECT_FALSE(Tracer::enabled());
-  EXPECT_FALSE(tracer.mint_trace().valid());
-  EXPECT_FALSE(tracer.child_context({}).valid());
-  {
-    const ScopedSpan span(tracer, "never.recorded");
-    EXPECT_FALSE(span.context().valid());
-    EXPECT_FALSE(tracer.current().valid());
-  }
-  tracer.record_span("nope", TraceContext{1, 2}, 0, 0, 1);
-  EXPECT_TRUE(tracer.collect().empty());
-  EXPECT_EQ(tracer.dropped(), 0u);
-}
-
-#endif  // EMUTILE_METRICS_DISABLED
 
 }  // namespace
 }  // namespace emutile
