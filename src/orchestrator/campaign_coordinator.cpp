@@ -1,8 +1,5 @@
 #include "orchestrator/campaign_coordinator.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <iterator>
 #include <string_view>
@@ -540,58 +537,13 @@ void CampaignCoordinator::apply_fleet(const FleetConfig& fresh) {
   }
 }
 
-void CampaignCoordinator::handle_control_connection(int fd) {
-  std::string request;
-  if (fd_read_all(fd, request, /*timeout_ms=*/2'000)) {
-    std::string response;
-    const std::size_t eol = request.find('\n');
-    const std::string first =
-        eol == std::string::npos ? request : request.substr(0, eol);
-    const std::string body =
-        eol == std::string::npos ? std::string() : request.substr(eol + 1);
-    if (first == "PING") {
-      response = "OK pong\n";
-    } else if (first == "FLEET") {
-      try {
-        if (body.find_first_not_of(" \t\r\n") == std::string::npos) {
-          // Bare FLEET: report the current membership (retired excluded).
-          FleetConfig current;
-          for (const InstanceState& instance : instances_)
-            if (!instance.retired)
-              current.instances.push_back(instance.config);
-          response = "OK fleet " +
-                     std::to_string(current.instances.size()) + "\n" +
-                     serialize_fleet_config(current);
-        } else {
-          apply_fleet(parse_fleet_config(body));
-          std::size_t active = 0;
-          for (const InstanceState& instance : instances_)
-            if (!instance.retired) ++active;
-          response = "OK fleet " + std::to_string(active) + "\n";
-        }
-      } catch (const std::exception& e) {
-        response = std::string("ERR ") + e.what() + "\n";
-      }
-    } else {
-      response = "ERR unknown control command '" + first + "'\n";
-    }
-    static_cast<void>(fd_write_all(fd, response));
-  }
-  ::close(fd);
-}
-
 void CampaignCoordinator::poll_membership() {
-  // Control listener: drain whatever connected since the last tick.
-  while (control_fd_ >= 0) {
-    const int fd = ::accept(control_fd_, nullptr, nullptr);
-    if (fd < 0) break;
-    handle_control_connection(fd);
-  }
+  if (options_.fleet_file.empty()) return;
   // Explicit reload (the orchestrate tool's SIGHUP handler flips this).
   bool reload = options_.reload_flag != nullptr &&
                 options_.reload_flag->exchange(false);
   // Fleet-file watch: any mtime change triggers a re-read.
-  if (!reload && !options_.fleet_file.empty()) {
+  if (!reload) {
     std::error_code ec;
     const auto mtime =
         std::filesystem::last_write_time(options_.fleet_file, ec);
@@ -600,7 +552,7 @@ void CampaignCoordinator::poll_membership() {
       reload = true;
     }
   }
-  if (reload && !options_.fleet_file.empty()) {
+  if (reload) {
     try {
       apply_fleet(load_fleet_config_file(options_.fleet_file));
     } catch (const std::exception& e) {
@@ -688,27 +640,11 @@ OrchestrationResult CampaignCoordinator::run(const CampaignSpec& spec) {
   }
 
   // Elasticity plumbing: remember the fleet file's starting mtime (only
-  // *changes* trigger a reload) and open the control listener.
+  // *changes* trigger a reload).
   if (!options_.fleet_file.empty()) {
     std::error_code ec;
     fleet_file_mtime_ =
         std::filesystem::last_write_time(options_.fleet_file, ec);
-  }
-  struct ControlGuard {
-    int& fd;
-    ~ControlGuard() {
-      if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-      }
-    }
-  } control_guard{control_fd_};
-  if (options_.control_address) {
-    EMUTILE_CHECK(options_.control_address->is_wire(),
-                  "control address must be a unix: or tcp: address");
-    control_fd_ = listen_service_address(*options_.control_address,
-                                         /*backlog=*/16,
-                                         /*nonblocking=*/true);
   }
 
   // The supervision loop: reconcile membership, dispatch pending shards,

@@ -39,9 +39,8 @@
 ///                replica)-derived, not placement-derived
 ///   elasticity   the fleet is reconcilable mid-campaign: a changed fleet
 ///                file (watched by mtime, or forced via reload_flag /
-///                SIGHUP in the orchestrate tool) or a FLEET command on the
-///                control_address listener joins new instances into the
-///                rotation — they pick up re-dispatched and stolen work —
+///                SIGHUP in the orchestrate tool) joins new instances into
+///                the rotation — they pick up re-dispatched and stolen work —
 ///                and retires missing ones (no new dispatches; in-flight
 ///                shards are still collected). Departures are the existing
 ///                drain/death paths
@@ -73,7 +72,6 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -162,11 +160,6 @@ struct CoordinatorOptions {
   /// Optional caller-owned flag (e.g. flipped by a SIGHUP handler): when
   /// found true it is cleared and `fleet_file` is re-read immediately.
   std::atomic<bool>* reload_flag = nullptr;
-  /// When set (a wire address), run() listens here for control requests:
-  /// `PING` answers pong, `FLEET` returns the current membership, and
-  /// `FLEET\n<fleet-config>` applies a new membership — the wire-command
-  /// path to mid-campaign joins.
-  std::optional<ServiceAddress> control_address;
   /// Streamed once per poll tick with the current fleet aggregate.
   std::function<void(const FleetSnapshot&)> on_snapshot;
   /// After every shard is collected, fetch METRICS from each wire instance
@@ -248,9 +241,8 @@ class CampaignCoordinator {
   void maybe_steal();
   /// Reconcile live membership with a freshly-parsed fleet config.
   void apply_fleet(const FleetConfig& fresh);
-  /// Control listener + reload flag + fleet-file mtime watch, once per tick.
+  /// Reload flag + fleet-file mtime watch, once per tick.
   void poll_membership();
-  void handle_control_connection(int fd);
   [[nodiscard]] FleetSnapshot snapshot() const;
 
   FleetConfig fleet_;
@@ -265,7 +257,6 @@ class CampaignCoordinator {
   std::size_t steals_ = 0;
   std::size_t affinity_dispatches_ = 0;
   std::size_t joined_instances_ = 0;
-  int control_fd_ = -1;           ///< control_address listener (run() only)
   std::filesystem::file_time_type fleet_file_mtime_{};
   TraceContext run_root_{};       ///< this run's orchestrate.run context
 };

@@ -525,66 +525,6 @@ TEST(CampaignCoordinator, TcpFleetSurvivesKillPlusJoinMidCampaign) {
             "");
 }
 
-TEST(CampaignCoordinator, ControlListenerAnswersPingAndAppliesFleetUpdates) {
-  // The wire-command membership path: while a campaign runs, the control
-  // listener must answer PING, report the current membership on FLEET, and
-  // apply a pushed `FLEET\n<config>` — joining an instance that then serves.
-  ScratchDir scratch("coord-control");
-  InProcessInstance host_a(scratch.path / "chost0", /*threads=*/1);
-  FleetConfig fleet;
-  fleet.instances.push_back(
-      {"chost0", ServiceAddress::unix_socket(host_a.endpoint->socket_path())});
-
-  const CampaignSpec spec = sharded_test_spec(/*replicas=*/6, 6001);
-  CoordinatorOptions options;
-  options.poll_interval = std::chrono::milliseconds(20);
-  options.request_timeout_ms = 10'000;
-  options.control_address =
-      ServiceAddress::unix_socket(scratch.path / "control.sock");
-  CampaignCoordinator coordinator(fleet, options);
-  OrchestrationResult result;
-  std::thread orchestration([&] { result = coordinator.run(spec); });
-
-  // Wait for the control socket to come up, then exercise all three verbs.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  std::string pong;
-  while (pong != "OK pong\n" &&
-         std::chrono::steady_clock::now() < deadline) {
-    try {
-      pong = endpoint_request(*options.control_address, "PING\n", 2'000);
-    } catch (const CheckError&) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  }
-  ASSERT_EQ(pong, "OK pong\n") << "control listener never came up";
-
-  const std::string membership =
-      endpoint_request(*options.control_address, "FLEET\n", 2'000);
-  EXPECT_EQ(membership.rfind("OK fleet 1\n", 0), 0u) << membership;
-  EXPECT_NE(membership.find("instance chost0 socket "), std::string::npos)
-      << membership;
-
-  InProcessInstance host_b(scratch.path / "chost1", /*threads=*/1);
-  FleetConfig pushed = fleet;
-  pushed.instances.push_back(
-      {"chost1", ServiceAddress::unix_socket(host_b.endpoint->socket_path())});
-  EXPECT_EQ(endpoint_request(*options.control_address,
-                             "FLEET\n" + serialize_fleet_config(pushed),
-                             2'000),
-            "OK fleet 2\n");
-  EXPECT_EQ(endpoint_request(*options.control_address, "BOGUS\n", 2'000)
-                .rfind("ERR ", 0),
-            0u);
-  orchestration.join();
-
-  EXPECT_GE(result.joined_instances, 1u)
-      << "the pushed FLEET config must have joined chost1";
-  const CampaignReport direct = run_campaign(spec);
-  EXPECT_EQ(result.report.to_json(), direct.to_json());
-  EXPECT_EQ(result.report.to_csv(), direct.to_csv());
-}
-
 TEST(CampaignCoordinator, AllInstancesDownFallsBackToInProcessExecution) {
   ScratchDir scratch("coord-down");
   FleetConfig fleet;

@@ -11,18 +11,15 @@
 ///                         [--shards N] [--priority N] [--poll-ms N]
 ///                         [--stall-ms N] [--timeout-ms N]
 ///                         [--local-threads N] [--no-local-fallback]
-///                         [--no-steal] [--control ADDR]
-///                         [--adaptive] [--target-halfwidth X]
+///                         [--no-steal] [--adaptive] [--target-halfwidth X]
 ///                         [--initial-sessions N] [--max-sessions N]
 ///                         [--metric detection|correction|debug-work]
 ///                         [--quiet]
 ///
 /// The fleet is elastic mid-campaign: editing FLEET.cfg (or sending the
 /// process SIGHUP to force a re-read) joins newly-listed instances into the
-/// running campaign and retires missing ones; `--control ADDR` additionally
-/// listens on a unix:/tcp: address for `FLEET` requests (send a new fleet
-/// config after the FLEET line to apply it; bare FLEET reads the current
-/// membership back). Idle instances pick up work stolen from the slowest
+/// running campaign and retires missing ones. A fleet file that fails to
+/// parse is ignored and the current membership kept. Idle instances pick up work stolen from the slowest
 /// in-flight shard unless --no-steal is given; every placement prefers the
 /// instance whose caches already hold the shard's sessions.
 ///
@@ -72,7 +69,7 @@ int usage(const char* argv0) {
             << " --fleet FLEET.cfg --spec SPEC [--out DIR] [--shards N]"
                " [--priority N] [--poll-ms N] [--stall-ms N] [--timeout-ms N]"
                " [--local-threads N] [--no-local-fallback] [--no-steal]"
-               " [--control ADDR] [--adaptive]"
+               " [--adaptive]"
                " [--target-halfwidth X] [--initial-sessions N]"
                " [--max-sessions N]"
                " [--metric detection|correction|debug-work] [--quiet]\n";
@@ -120,7 +117,6 @@ int main(int argc, char** argv) {
     else if (arg == "--local-threads") options.local_threads = std::strtoull(value(), nullptr, 10);
     else if (arg == "--no-local-fallback") options.allow_local_fallback = false;
     else if (arg == "--no-steal") options.enable_stealing = false;
-    else if (arg == "--control") options.control_address = parse_service_address(value());
     else if (arg == "--adaptive") use_adaptive = true;
     else if (arg == "--target-halfwidth") adaptive.target_halfwidth = std::strtod(value(), nullptr);
     else if (arg == "--initial-sessions") adaptive.initial_sessions = std::atoi(value());
