@@ -388,7 +388,7 @@ void CampaignCoordinator::run_local(ShardWork& shard) {
 }
 
 void CampaignCoordinator::maybe_steal() {
-  if (!options_.enable_stealing || !serializable_) return;
+  if (!serializable_) return;
   // Pending shards would soak up an idle instance through the normal
   // dispatch path — stealing only makes sense once everything is placed.
   for (const auto& shard : shards_)

@@ -147,9 +147,6 @@ struct CoordinatorOptions {
   /// When false, a fully-failed fleet raises CheckError instead of running
   /// remaining shards in-process.
   bool allow_local_fallback = true;
-  /// Split the slowest in-flight shard for an idle instance (see the work-
-  /// stealing paragraph above). Off, an early-draining instance just idles.
-  bool enable_stealing = true;
   /// Never steal fewer remaining sessions than this — splitting a nearly-
   /// finished shard trades real cache warmth for negligible parallelism.
   std::size_t min_steal_sessions = 2;

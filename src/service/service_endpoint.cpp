@@ -39,6 +39,11 @@ constexpr int kRequestReadTimeoutMs = 30'000;
 /// past this it is silently closed and the client re-dials transparently.
 constexpr int kPersistentIdleTimeoutMs = 4 * kRequestReadTimeoutMs;
 
+/// Capacity of the reactor<->worker MPMC rings. A full execution ring
+/// briefly queues inside the reactor; a full completion ring briefly blocks
+/// a worker — neither drops a request.
+constexpr std::size_t kQueueCapacity = 4096;
+
 /// Parked-WAIT re-poll cadence in the reactor (matches the legacy WAIT
 /// handler's 100 ms wait_for slices).
 constexpr auto kWaitRetryInterval = std::chrono::milliseconds(100);
@@ -180,8 +185,8 @@ ServiceEndpoint::ServiceEndpoint(SessionService& service,
   }
   ev.data.fd = wake_fd_;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-  exec_queue_ = std::make_unique<MpmcQueue<Conn*>>(options_.queue_capacity);
-  done_queue_ = std::make_unique<MpmcQueue<Conn*>>(options_.queue_capacity);
+  exec_queue_ = std::make_unique<MpmcQueue<Conn*>>(kQueueCapacity);
+  done_queue_ = std::make_unique<MpmcQueue<Conn*>>(kQueueCapacity);
   const std::size_t workers = std::max<std::size_t>(1, options_.workers);
   worker_threads_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i)

@@ -154,10 +154,6 @@ struct EndpointOptions {
   /// purpose: requests are short (WAIT parks instead of blocking), so a
   /// handful of workers saturate the service core.
   std::size_t workers = 4;
-  /// Capacity of the reactor<->worker MPMC rings (rounded up to a power of
-  /// two). A full execution ring briefly queues inside the reactor; a full
-  /// completion ring briefly blocks a worker — neither drops a request.
-  std::size_t queue_capacity = 4096;
   /// When set (must be kTcp), listen on this TCP address alongside the Unix
   /// socket — same protocol, byte-identical. Port 0 takes an ephemeral port;
   /// read the bound one back with ServiceEndpoint::tcp_address().

@@ -33,6 +33,14 @@ const char* to_string(CampaignState state) {
 
 namespace {
 
+/// Slots in the lock-free intake ring between submit() and the dispatcher
+/// thread. Occupancy is bounded by active campaigns, so a ring at least
+/// max_pending deep never backpressures an admitted submit(); unbounded
+/// services get the floor and block bounded-ly when it fills.
+std::size_t intake_slots(const ServiceConfig& config) {
+  return std::max<std::size_t>(1024, config.max_pending);
+}
+
 std::string sanitize_id(const std::string& hint) {
   std::string out;
   for (const char c : hint) {
@@ -85,8 +93,8 @@ struct SessionService::Campaign {
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   std::size_t snapshots = 0;
-  /// Write-ahead journal (out/<id>/journal.wal); null when disabled or the
-  /// spec has no canonical form. Same contract as the audit journal:
+  /// Write-ahead journal (out/<id>/journal.wal); null when the spec has no
+  /// canonical form (custom builders). Same contract as the audit journal:
   /// thread-safe, inert on IO failure.
   std::unique_ptr<CampaignWalWriter> wal;
   /// Journaled completion records carried from reattach() to prepare_unit,
@@ -112,7 +120,7 @@ struct SessionService::Campaign {
 SessionService::SessionService(ServiceConfig config)
     : config_(std::move(config)),
       baselines_(config_.baseline_cache_entries),
-      intake_(config_.intake_capacity) {
+      intake_(intake_slots(config_)) {
   EMUTILE_CHECK(!config_.root.empty(), "service needs a root directory");
   EMUTILE_CHECK(config_.num_threads >= 1, "service needs at least 1 thread");
   std::filesystem::create_directories(config_.root / "spool");
@@ -260,8 +268,8 @@ std::string SessionService::submit(const CampaignSpec& spec, int priority,
   reg.gauge("service.campaigns_active").add();
   // Hand off to the dispatcher: spec persistence and scheduling (disk IO)
   // happen off the submit path. A full ring blocks bounded-ly — it cannot
-  // happen while max_pending <= intake_capacity, because occupancy is
-  // bounded by active campaigns. push_wait only refuses when the service is
+  // happen under a max_pending bound, which intake_slots() sizes the ring
+  // to cover. push_wait only refuses when the service is
   // already stopping, in which case the shutdown path cancels + finalizes
   // the registered campaign like any other queued one.
   if (!intake_.push_wait(c, intake_stop_)) {
@@ -288,16 +296,13 @@ void SessionService::dispatch_campaign(Campaign& c) {
     std::filesystem::create_directories(c.out_dir);
     if (!c.canonical.empty()) {
       write_file_atomic(c.out_dir / "spec.txt", c.canonical);
-      if (config_.enable_wal) {
-        // spec.txt is on disk before the WAL header that content-addresses
-        // it, so a journal never outlives the spec it validates against. A
-        // resumed campaign appends to its surviving journal; re-writing the
-        // header would be a duplicate the parser has no use for.
-        c.wal = std::make_unique<CampaignWalWriter>(c.out_dir / "journal.wal");
-        if (!c.resumed)
-          c.wal->begin(c.id, format_u64_hex(fnv1a64(c.canonical)),
-                       c.priority);
-      }
+      // spec.txt is on disk before the WAL header that content-addresses
+      // it, so a journal never outlives the spec it validates against. A
+      // resumed campaign appends to its surviving journal; re-writing the
+      // header would be a duplicate the parser has no use for.
+      c.wal = std::make_unique<CampaignWalWriter>(c.out_dir / "journal.wal");
+      if (!c.resumed)
+        c.wal->begin(c.id, format_u64_hex(fnv1a64(c.canonical)), c.priority);
     }
     c.canonical.clear();
     c.canonical.shrink_to_fit();
@@ -1001,9 +1006,8 @@ void SessionService::reattach_dir(const std::filesystem::path& dir,
   // the canonical serialization, so its raw bytes hash to the content hash
   // the WAL header recorded at submit time.
   std::string wal_error;
-  std::optional<CampaignWal> wal;
-  if (config_.enable_wal)
-    wal = load_campaign_wal(dir / "journal.wal", &wal_error);
+  std::optional<CampaignWal> wal =
+      load_campaign_wal(dir / "journal.wal", &wal_error);
   std::string spec_text;
   std::optional<CampaignSpec> spec;
   try {

@@ -73,7 +73,8 @@ struct ServiceConfig {
   /// Backpressure: when more than this many campaigns are queued or running,
   /// submit() throws ServiceBusyError (the endpoint answers `ERR busy`)
   /// instead of accepting — a misbehaving submitter cannot OOM the daemon.
-  /// 0 means unbounded.
+  /// The submit intake ring is sized to cover this bound (at least 1024
+  /// slots). 0 means unbounded.
   std::size_t max_pending = 0;
   /// Bound on the warm-start baseline cache (pre-injection tiled designs
   /// shared by every session of a (design, tiling) pair, across campaigns):
@@ -86,11 +87,6 @@ struct ServiceConfig {
   /// carries wall-progression timestamps and therefore lives strictly
   /// outside the deterministic report artifacts.
   bool enable_journal = true;
-  /// Write the per-campaign `out/<id>/journal.wal` write-ahead journal
-  /// (campaign_wal.hpp) that reattach() replays after a crash. Campaigns
-  /// without a canonical spec form (custom builders) never get one — they
-  /// cannot be validated against a surviving directory anyway.
-  bool enable_wal = true;
   /// Slow-span watchdog: WARN (with the span path) when a session's wall
   /// time exceeds this multiple of the running `session.wall_us` p99, once
   /// at least 20 sessions have been recorded. Counted as
@@ -106,11 +102,6 @@ struct ServiceConfig {
   /// the submit is shed with ServiceOverdeadlineError (`ERR overdeadline`,
   /// counted as `service.sheds_overdeadline`). 0 means no default deadline.
   std::uint64_t deadline_default_ms = 0;
-  /// Capacity of the lock-free intake ring between submit() and the
-  /// dispatcher thread that performs spec persistence + scheduling. Rounded
-  /// up to a power of two. A full ring backpressures submit() (bounded
-  /// blocking), which cannot happen while max_pending <= intake_capacity.
-  std::size_t intake_capacity = 1024;
 };
 
 /// Thrown by submit() when the bounded campaign queue (max_pending) is full

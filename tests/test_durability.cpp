@@ -443,8 +443,9 @@ TEST(Durability, OutputDirWithoutJournalIsArchivedNotShadowed) {
   ScratchDir scratch("stale-archive");
   const std::string spec = small_spec_text(505);
 
-  // A journal-less survivor with a readable spec (e.g. written by a daemon
-  // run with --no-wal) and one with garbage where the spec should be.
+  // A journal-less survivor with a readable spec (e.g. a daemon killed
+  // between writing spec.txt and the WAL header) and one with garbage where
+  // the spec should be.
   fs::create_directories(scratch.path / "out" / "mystery");
   std::ofstream(scratch.path / "out" / "mystery" / "spec.txt")
       << serialize_campaign_spec(parse_campaign_spec(spec));

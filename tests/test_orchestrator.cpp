@@ -430,30 +430,6 @@ TEST(CampaignCoordinator, WorkStealingSplitsASlowShardDeterministically) {
             "");
 }
 
-TEST(CampaignCoordinator, DisabledStealingLeavesTheSingleShardAlone) {
-  ScratchDir scratch("coord-nosteal");
-  InProcessInstance host_a(scratch.path / "nhost0", /*threads=*/1);
-  InProcessInstance host_b(scratch.path / "nhost1", /*threads=*/1);
-  FleetConfig fleet;
-  fleet.instances.push_back(
-      {"nhost0", ServiceAddress::unix_socket(host_a.endpoint->socket_path())});
-  fleet.instances.push_back(
-      {"nhost1", ServiceAddress::unix_socket(host_b.endpoint->socket_path())});
-
-  const CampaignSpec spec = sharded_test_spec(/*replicas=*/3, 3200);
-  CoordinatorOptions options;
-  options.num_shards = 1;
-  options.enable_stealing = false;
-  options.poll_interval = std::chrono::milliseconds(20);
-  CampaignCoordinator coordinator(fleet, options);
-  const OrchestrationResult result = coordinator.run(spec);
-
-  EXPECT_EQ(result.steals, 0u);
-  EXPECT_EQ(result.num_shards, 1u);
-  const CampaignReport direct = run_campaign(spec);
-  EXPECT_EQ(result.report.to_json(), direct.to_json());
-}
-
 TEST(CampaignCoordinator, TcpFleetSurvivesKillPlusJoinMidCampaign) {
   // The elasticity acceptance test, over real TCP loopback: a fleet of two
   // TCP instances loses one mid-campaign while a third joins through a

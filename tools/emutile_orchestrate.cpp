@@ -11,16 +11,16 @@
 ///                         [--shards N] [--priority N] [--poll-ms N]
 ///                         [--stall-ms N] [--timeout-ms N]
 ///                         [--local-threads N] [--no-local-fallback]
-///                         [--no-steal] [--adaptive] [--target-halfwidth X]
+///                         [--adaptive] [--target-halfwidth X]
 ///                         [--initial-sessions N] [--max-sessions N]
 ///                         [--metric detection|correction|debug-work]
 ///                         [--quiet]
 ///
 /// The fleet is elastic mid-campaign: editing FLEET.cfg (or sending the
 /// process SIGHUP to force a re-read) joins newly-listed instances into the
-/// running campaign and retires missing ones. A fleet file that fails to
-/// parse is ignored and the current membership kept. Idle instances pick up work stolen from the slowest
-/// in-flight shard unless --no-steal is given; every placement prefers the
+/// running campaign and retires missing ones; a rewrite that fails to parse
+/// is ignored and the current membership kept. Idle instances pick up work
+/// stolen from the slowest in-flight shard; every placement prefers the
 /// instance whose caches already hold the shard's sessions.
 ///
 /// --adaptive runs the campaign in confidence-driven rounds (see
@@ -68,8 +68,7 @@ int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " --fleet FLEET.cfg --spec SPEC [--out DIR] [--shards N]"
                " [--priority N] [--poll-ms N] [--stall-ms N] [--timeout-ms N]"
-               " [--local-threads N] [--no-local-fallback] [--no-steal]"
-               " [--adaptive]"
+               " [--local-threads N] [--no-local-fallback] [--adaptive]"
                " [--target-halfwidth X] [--initial-sessions N]"
                " [--max-sessions N]"
                " [--metric detection|correction|debug-work] [--quiet]\n";
@@ -116,7 +115,6 @@ int main(int argc, char** argv) {
     else if (arg == "--timeout-ms") options.request_timeout_ms = static_cast<int>(std::strtol(value(), nullptr, 10));
     else if (arg == "--local-threads") options.local_threads = std::strtoull(value(), nullptr, 10);
     else if (arg == "--no-local-fallback") options.allow_local_fallback = false;
-    else if (arg == "--no-steal") options.enable_stealing = false;
     else if (arg == "--adaptive") use_adaptive = true;
     else if (arg == "--target-halfwidth") adaptive.target_halfwidth = std::strtod(value(), nullptr);
     else if (arg == "--initial-sessions") adaptive.initial_sessions = std::atoi(value());

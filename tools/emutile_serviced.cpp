@@ -20,15 +20,16 @@
 ///                      [--baseline-cache-entries N] [--no-socket]
 ///                      [--socket PATH] [--tcp HOST:PORT]
 ///                      [--max-pending N] [--quota N]
-///                      [--deadline-default-ms N] [--intake-capacity N]
+///                      [--deadline-default-ms N]
 ///                      [--endpoint reactor|legacy] [--endpoint-workers N]
-///                      [--once] [--no-drain] [--no-journal] [--no-wal]
+///                      [--once] [--no-drain] [--no-journal]
 ///                      [--slow-request-ms N] [--slow-session-multiple X]
 ///                      [--log-level debug|info|warn|error|off]
 ///
 ///   --max-pending N      bounded SUBMIT queue: reject with `ERR busy` while
 ///                        N campaigns are already queued or running
-///                        (0 = unbounded)
+///                        (0 = unbounded); the submit intake ring is sized
+///                        to max(1024, N)
 ///   --quota N            per-campaign session quota: SUBMITs whose spec
 ///                        expands to more than N sessions are shed with
 ///                        `ERR busy` (0 = unbounded)
@@ -36,8 +37,6 @@
 ///                        carry no deadline_ms= token; admission control
 ///                        sheds infeasible ones with `ERR overdeadline`
 ///                        (0 = no default deadline)
-///   --intake-capacity N  bound of the lock-free submit intake ring between
-///                        admission and the scheduler (default 1024)
 ///   --tcp HOST:PORT      additionally listen on a TCP address (same wire
 ///                        protocol as the Unix socket — cross-host fleets).
 ///                        Port 0 picks a free port; the bound address is
@@ -58,8 +57,6 @@
 ///             re-register completed ones, archive the rest to out/<id>.stale
 ///   --once   drain the spool once, wait for those campaigns, and exit.
 ///   --no-journal   skip the per-campaign out/<id>/events.jsonl audit journal
-///   --no-wal   skip the per-campaign out/<id>/journal.wal write-ahead
-///              journal (disables crash resume for campaigns run this way)
 ///   --slow-request-ms N  WARN + count `endpoint.slow_requests` for endpoint
 ///                        requests slower than N ms (default 1000)
 ///   --slow-session-multiple X  WARN + count `service.slow_sessions` when a
@@ -100,9 +97,9 @@ int usage(const char* argv0) {
                " [--baseline-cache-entries N] [--no-socket] [--socket PATH]"
                " [--tcp HOST:PORT]"
                " [--max-pending N] [--quota N] [--deadline-default-ms N]"
-               " [--intake-capacity N] [--endpoint reactor|legacy]"
+               " [--endpoint reactor|legacy]"
                " [--endpoint-workers N] [--attach] [--once] [--no-drain]"
-               " [--no-journal] [--no-wal]"
+               " [--no-journal]"
                " [--slow-request-ms N] [--slow-session-multiple X]"
                " [--log-level debug|info|warn|error|off]\n";
   return 2;
@@ -140,7 +137,6 @@ int main(int argc, char** argv) {
     else if (arg == "--max-pending") config.max_pending = std::strtoull(value(), nullptr, 10);
     else if (arg == "--quota") config.session_quota = std::strtoull(value(), nullptr, 10);
     else if (arg == "--deadline-default-ms") config.deadline_default_ms = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--intake-capacity") config.intake_capacity = std::strtoull(value(), nullptr, 10);
     else if (arg == "--endpoint-workers") endpoint_options.workers = std::strtoull(value(), nullptr, 10);
     else if (arg == "--endpoint") {
       const std::string mode = value();
@@ -158,7 +154,6 @@ int main(int argc, char** argv) {
     else if (arg == "--socket") socket_path = value();
     else if (arg == "--tcp") tcp_spec = value();
     else if (arg == "--no-journal") config.enable_journal = false;
-    else if (arg == "--no-wal") config.enable_wal = false;
     else if (arg == "--attach") attach = true;
     else if (arg == "--slow-request-ms") slow_request_ms = std::strtod(value(), nullptr);
     else if (arg == "--slow-session-multiple") config.slow_session_multiple = std::strtod(value(), nullptr);
