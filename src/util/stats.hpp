@@ -214,7 +214,10 @@ struct Interval {
   const double center = (phat + z2n / 2.0) / denom;
   const double hw = z / denom *
                     std::sqrt(phat * (1.0 - phat) / n + z2n / (4.0 * n));
-  return Interval{std::max(0.0, center - hw), std::min(1.0, center + hw)};
+  // At p-hat 0 the lower bound is exactly 0 (and at p-hat 1 the upper bound
+  // exactly 1); computed, they carry float residue such as 5.55e-17.
+  return Interval{successes == 0 ? 0.0 : std::max(0.0, center - hw),
+                  successes == trials ? 1.0 : std::min(1.0, center + hw)};
 }
 
 /// Student-t confidence interval for the mean of the sample an Accumulator

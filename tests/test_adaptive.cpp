@@ -84,6 +84,9 @@ TEST(IntervalEstimators, WilsonIntervalMatchesClosedForm) {
   const Interval none = wilson_interval(0, 20);
   EXPECT_DOUBLE_EQ(none.lo, 0.0);
   EXPECT_LT(none.hi, 0.2);
+  // ...and the bound at the degenerate end is exact, not float residue.
+  EXPECT_EQ(wilson_interval(0, 1).lo, 0.0);
+  EXPECT_EQ(wilson_interval(50, 50).hi, 1.0);
 
   // Zero trials: the whole of [0, 1] — the widest a proportion gets.
   const Interval unknown = wilson_interval(0, 0);
