@@ -150,7 +150,11 @@ SessionService::~SessionService() {
       }
     }
   }
-  scheduler_.reset();  // drains every unit, which finalizes every campaign
+  // Drain before destroying: a prepare unit that started before the cancel
+  // above still submits its session units through scheduler_, which
+  // unique_ptr::reset() nulls before the destructor's own drain runs.
+  scheduler_->wait_all();  // every unit runs, which finalizes every campaign
+  scheduler_.reset();
 }
 
 std::string SessionService::submit(const CampaignSpec& spec, int priority,
