@@ -2,8 +2,9 @@
 // wire format (exact round-trip + merge equivalence), and the campaign
 // coordinator end-to-end — sharded orchestration over in-process serviced
 // instances, re-dispatch when an instance is killed mid-campaign, a rolling
-// drain-restart upgrade across the whole fleet, spool-addressed instances,
-// and the all-instances-down in-process fallback. The load-bearing
+// drain-restart upgrade across the whole fleet, fleet-file membership
+// reloads, spool-addressed instances, and the all-instances-down in-process
+// fallback. The load-bearing
 // assertion throughout: the merged fleet report is byte-identical to a
 // direct unsharded run_campaign of the same spec (with a field-by-field
 // differential cross-check explaining any divergence).
@@ -508,6 +509,99 @@ TEST(CampaignCoordinator, TcpFleetSurvivesKillPlusJoinMidCampaign) {
   EXPECT_EQ(test::diff_campaign_reports_csv(direct.to_csv(),
                                             result.report.to_csv()),
             "");
+}
+
+TEST(CampaignCoordinator, FleetFileReloadKeepsMembershipOnBadRewriteAndObeysFlag) {
+  // The two halves of the fleet-file path the kill+join test leaves alone,
+  // both during one running campaign. Every rewrite keeps the file's
+  // original mtime (written aside, back-dated, renamed over), so only
+  // reload_flag can trigger a re-read:
+  //   1. a malformed rewrite is rejected and the current membership kept;
+  //   2. a valid rewrite is ignored until the flag is set, then joins.
+  ScratchDir scratch("coord-reload");
+  InProcessInstance host_a(scratch.path / "lhost0", /*threads=*/1);
+  InProcessInstance host_b(scratch.path / "lhost1", /*threads=*/1);
+  FleetConfig fleet;
+  fleet.instances.push_back(
+      {"lhost0", ServiceAddress::unix_socket(host_a.endpoint->socket_path())});
+  const fs::path fleet_file = scratch.path / "fleet.cfg";
+  std::ofstream(fleet_file) << serialize_fleet_config(fleet);
+  const fs::file_time_type original_mtime = fs::last_write_time(fleet_file);
+  const auto rewrite_keeping_mtime = [&](const std::string& text) {
+    const fs::path aside = scratch.path / "fleet.cfg.new";
+    std::ofstream(aside, std::ios::trunc) << text;
+    fs::last_write_time(aside, original_mtime);
+    fs::rename(aside, fleet_file);
+  };
+
+  std::atomic<bool> reload{false};
+  std::atomic<std::size_t> snapshots{0};
+  std::atomic<std::size_t> members{0};
+  std::atomic<std::size_t> healthy{0};
+  const CampaignSpec spec = sharded_test_spec(/*replicas=*/8, 7100);
+  CoordinatorOptions options;
+  options.poll_interval = std::chrono::milliseconds(20);
+  options.request_timeout_ms = 10'000;
+  options.fleet_file = fleet_file;
+  options.reload_flag = &reload;
+  options.on_snapshot = [&](const FleetSnapshot& snap) {
+    members.store(snap.total_instances);
+    healthy.store(snap.healthy_instances);
+    ++snapshots;
+  };
+  CampaignCoordinator coordinator(fleet, options);
+  OrchestrationResult result;
+  std::atomic<bool> run_done{false};
+  std::thread orchestration([&] {
+    result = coordinator.run(spec);
+    run_done.store(true);
+  });
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  const auto wait_until = [&](const auto& condition) {
+    while (!condition() && !run_done.load() &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return condition();
+  };
+  // Snapshots stream after the tick's membership poll, so one taken after
+  // `mark` reflects every reload consumed before it.
+  const auto wait_snapshots = [&](std::size_t count) {
+    const std::size_t mark = snapshots.load();
+    return wait_until([&] { return snapshots.load() >= mark + count; });
+  };
+  ASSERT_TRUE(wait_snapshots(1))
+      << "the campaign ended before the first snapshot";
+
+  // 1. Malformed rewrite: the forced re-read fails, membership stays.
+  rewrite_keeping_mtime("emutile-fleet v1\ninstance lhost0 pigeon /coop\n");
+  reload.store(true);
+  ASSERT_TRUE(wait_until([&] { return !reload.load(); }))
+      << "the coordinator never consumed reload_flag";
+  ASSERT_TRUE(wait_snapshots(1)) << "the campaign ended too early";
+  EXPECT_EQ(members.load(), 1u);
+  EXPECT_EQ(healthy.load(), 1u) << "a bad rewrite must not retire lhost0";
+
+  // 2. A valid rewrite with an unchanged mtime is not picked up...
+  FleetConfig grown = fleet;
+  grown.instances.push_back(
+      {"lhost1", ServiceAddress::unix_socket(host_b.endpoint->socket_path())});
+  rewrite_keeping_mtime(serialize_fleet_config(grown));
+  ASSERT_TRUE(wait_snapshots(3)) << "the campaign ended too early";
+  EXPECT_EQ(members.load(), 1u) << "an unchanged mtime triggered a re-read";
+  // ...until the flag forces the re-read, which joins lhost1.
+  reload.store(true);
+  EXPECT_TRUE(wait_until([&] { return members.load() == 2u; }))
+      << "reload_flag never joined lhost1";
+  orchestration.join();
+
+  EXPECT_EQ(result.joined_instances, 1u);
+  for (const ShardProgress& shard : result.shards)
+    EXPECT_EQ(shard.state, ShardState::kDone);
+  const CampaignReport direct = run_campaign(spec);
+  EXPECT_EQ(result.report.to_json(), direct.to_json());
+  EXPECT_EQ(result.report.to_csv(), direct.to_csv());
 }
 
 TEST(CampaignCoordinator, AllInstancesDownFallsBackToInProcessExecution) {
