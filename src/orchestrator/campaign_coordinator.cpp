@@ -22,6 +22,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Never steal fewer remaining sessions than this — splitting a nearly-
+/// finished shard trades real cache warmth for negligible parallelism.
+constexpr std::size_t kMinStealSessions = 2;
+
 }  // namespace
 
 const char* to_string(ShardState state) {
@@ -426,7 +430,7 @@ void CampaignCoordinator::maybe_steal() {
     const std::size_t done =
         std::min(shard->progress.sessions_done, shard->progress.sessions_total);
     const std::size_t remaining = shard->progress.sessions_total - done;
-    if (remaining >= options_.min_steal_sessions &&
+    if (remaining >= kMinStealSessions &&
         remaining > most_remaining) {
       most_remaining = remaining;
       victim = shard.get();

@@ -147,9 +147,6 @@ struct CoordinatorOptions {
   /// When false, a fully-failed fleet raises CheckError instead of running
   /// remaining shards in-process.
   bool allow_local_fallback = true;
-  /// Never steal fewer remaining sessions than this — splitting a nearly-
-  /// finished shard trades real cache warmth for negligible parallelism.
-  std::size_t min_steal_sessions = 2;
   /// When set, re-read this fleet file whenever its mtime changes (and when
   /// `reload_flag` fires) and reconcile membership mid-campaign: new names
   /// join, missing names retire, changed addresses reconnect.

@@ -108,8 +108,9 @@ struct SessionService::Campaign {
   /// Audit journal (out/<id>/events.jsonl); null when disabled. Thread-safe
   /// and inert on IO failure, so units record into it without ceremony.
   std::unique_ptr<EventJournal> journal;
-  /// The campaign.run span's context (invalid when tracing is compiled
-  /// out): session/queue-wait spans parent on it, and finalize() records it
+  /// The campaign.run span's context (left invalid only for campaigns
+  /// reattach() re-registers as already complete, which never run again):
+  /// session/queue-wait spans parent on it, and finalize() records it
   /// closed over [submit_us, finalize] with trace_parent (the submitter's
   /// span, e.g. the endpoint's SUBMIT request span) as its parent.
   TraceContext trace;
@@ -312,8 +313,7 @@ void SessionService::dispatch_campaign(Campaign& c) {
     c.canonical.shrink_to_fit();
     if (config_.enable_journal) {
       c.journal = std::make_unique<EventJournal>(
-          c.out_dir / "events.jsonl", c.id,
-          c.trace.valid() ? format_u64_hex(c.trace.trace_id) : "");
+          c.out_dir / "events.jsonl", c.id, format_u64_hex(c.trace.trace_id));
       if (c.resumed)
         c.journal->record("reattach",
                           {{"journaled", c.wal_replay.size()},
@@ -620,7 +620,7 @@ void SessionService::session_unit(Campaign& c, std::size_t job_slot,
   CacheLookup lookup = CacheLookup::kNotConsulted;
   const bool cancel_now = cancelled || c.cancel_flag.load();
   const std::uint64_t started_us = journal_now_us();
-  if (!cancel_now && c.trace.valid()) {
+  if (!cancel_now) {
     // The time between enqueue and this unit actually starting, as a span
     // child of campaign.run — reconstructed from the enqueue stamp, so the
     // scheduler itself stays tracing-free.
@@ -795,23 +795,21 @@ void SessionService::finalize(Campaign& c) {
     c.journal->record("finalize", {{"state", to_string(state)},
                                    {"sessions_done", c.sessions_done},
                                    {"cache_hits", c.cache_hits}});
-  if (c.trace.valid()) {
-    // Close the campaign.run span over [submit, now] and export the
-    // campaign's closed spans as Chrome trace-event JSON. A sidecar like
-    // the journal: failures are swallowed, and the deterministic report
-    // artifacts above never depend on it.
-    Tracer& tracer = Tracer::global();
-    const std::uint64_t now = journal_now_us();
-    tracer.record_span("campaign.run", c.trace, c.trace_parent, c.submit_us,
-                       now >= c.submit_us ? now - c.submit_us : 0);
-    try {
-      write_file_atomic(
-          c.out_dir / "trace.json",
-          trace_events_json(tracer.collect_trace(c.trace.trace_id, false)));
-    } catch (const std::exception& e) {
-      EMUTILE_WARN("campaign " << c.id << ": trace export failed: "
-                               << e.what());
-    }
+  // Close the campaign.run span over [submit, now] and export the
+  // campaign's closed spans as Chrome trace-event JSON. A sidecar like
+  // the journal: failures are swallowed, and the deterministic report
+  // artifacts above never depend on it.
+  Tracer& tracer = Tracer::global();
+  const std::uint64_t now = journal_now_us();
+  tracer.record_span("campaign.run", c.trace, c.trace_parent, c.submit_us,
+                     now >= c.submit_us ? now - c.submit_us : 0);
+  try {
+    write_file_atomic(
+        c.out_dir / "trace.json",
+        trace_events_json(tracer.collect_trace(c.trace.trace_id, false)));
+  } catch (const std::exception& e) {
+    EMUTILE_WARN("campaign " << c.id << ": trace export failed: "
+                             << e.what());
   }
   std::lock_guard<std::mutex> lock(mutex_);
   set_state_locked(c, state);

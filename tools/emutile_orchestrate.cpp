@@ -155,11 +155,8 @@ int main(int argc, char** argv) {
     // The journal and metrics sidecars live next to the reports; create the
     // out dir up front so the journal can open.
     std::filesystem::create_directories(out_dir);
-    EventJournal journal(out_dir / "events.jsonl",
-                         spec_path.stem().string(),
-                         options.trace.valid()
-                             ? format_u64_hex(options.trace.trace_id)
-                             : "");
+    EventJournal journal(out_dir / "events.jsonl", spec_path.stem().string(),
+                         format_u64_hex(options.trace.trace_id));
     options.journal = &journal;
 
     CampaignCoordinator coordinator(fleet, options);
