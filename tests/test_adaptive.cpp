@@ -24,19 +24,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh scratch directory per test, removed on destruction.
-struct ScratchDir {
-  fs::path path;
-  explicit ScratchDir(const std::string& name) {
-    path = fs::path(::testing::TempDir()) / ("emutile-" + name);
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using test::ScratchDir;
 
 // ---------------------------------------------------------- estimators ------
 

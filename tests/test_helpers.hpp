@@ -1,11 +1,14 @@
 #pragma once
 /// Shared fixtures: small hand-built netlists and random-netlist factories
-/// used across the test suite, plus the field-by-field campaign-report
-/// differ the durability and orchestrator suites use to explain
-/// byte-inequality failures.
+/// used across the test suite, the field-by-field campaign-report differ
+/// the durability and orchestrator suites use to explain byte-inequality
+/// failures, and the per-test scratch directory of the service suites.
+
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +22,22 @@
 #include "util/rng.hpp"
 
 namespace emutile::test {
+
+/// Fresh scratch directory per test under the gtest temp dir, removed on
+/// destruction.
+struct ScratchDir {
+  std::filesystem::path path;
+  explicit ScratchDir(const std::string& name)
+      : path(std::filesystem::path(::testing::TempDir()) /
+             ("emutile-" + name)) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
 
 /// 4-bit combinational adder: 9 PIs (a0..3, b0..3, cin), 5 POs.
 inline Netlist make_adder4() {

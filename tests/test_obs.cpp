@@ -21,6 +21,7 @@
 
 #include "obs/event_journal.hpp"
 #include "obs/metrics.hpp"
+#include "test_helpers.hpp"
 #include "util/check.hpp"
 #include "util/stats.hpp"
 
@@ -29,18 +30,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-struct ScratchDir {
-  fs::path path;
-  explicit ScratchDir(const std::string& name) {
-    path = fs::path(::testing::TempDir()) / ("emutile-" + name);
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using test::ScratchDir;
 
 // -------------------------------------------------------------- histogram ---
 

@@ -39,19 +39,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh scratch directory per test, removed on destruction.
-struct ScratchDir {
-  fs::path path;
-  explicit ScratchDir(const std::string& name) {
-    path = fs::path(::testing::TempDir()) / ("emutile-" + name);
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using test::ScratchDir;
 
 /// A campaign big enough that a 3-shard split gives every shard real work:
 /// 2 error kinds x `replicas` replicas on one design.
@@ -512,12 +500,11 @@ TEST(CampaignCoordinator, TcpFleetSurvivesKillPlusJoinMidCampaign) {
 }
 
 TEST(CampaignCoordinator, FleetFileReloadKeepsMembershipOnBadRewriteAndObeysFlag) {
-  // The two halves of the fleet-file path the kill+join test leaves alone,
-  // both during one running campaign. Every rewrite keeps the file's
-  // original mtime (written aside, back-dated, renamed over), so only
-  // reload_flag can trigger a re-read:
-  //   1. a malformed rewrite is rejected and the current membership kept;
-  //   2. a valid rewrite is ignored until the flag is set, then joins.
+  // During one running campaign: a malformed fleet-file rewrite is rejected
+  // and the membership kept; a valid rewrite is ignored until reload_flag
+  // forces the re-read, which joins the new instance. Every rewrite keeps
+  // the file's mtime (written aside, back-dated, renamed over), so only the
+  // flag can trigger a re-read.
   ScratchDir scratch("coord-reload");
   InProcessInstance host_a(scratch.path / "lhost0", /*threads=*/1);
   InProcessInstance host_b(scratch.path / "lhost1", /*threads=*/1);
@@ -526,29 +513,27 @@ TEST(CampaignCoordinator, FleetFileReloadKeepsMembershipOnBadRewriteAndObeysFlag
       {"lhost0", ServiceAddress::unix_socket(host_a.endpoint->socket_path())});
   const fs::path fleet_file = scratch.path / "fleet.cfg";
   std::ofstream(fleet_file) << serialize_fleet_config(fleet);
-  const fs::file_time_type original_mtime = fs::last_write_time(fleet_file);
-  const auto rewrite_keeping_mtime = [&](const std::string& text) {
+  const fs::file_time_type mtime = fs::last_write_time(fleet_file);
+  const auto rewrite = [&](const std::string& text) {
     const fs::path aside = scratch.path / "fleet.cfg.new";
-    std::ofstream(aside, std::ios::trunc) << text;
-    fs::last_write_time(aside, original_mtime);
+    std::ofstream(aside) << text;
+    fs::last_write_time(aside, mtime);
     fs::rename(aside, fleet_file);
   };
 
   std::atomic<bool> reload{false};
   std::atomic<std::size_t> snapshots{0};
-  std::atomic<std::size_t> members{0};
-  std::atomic<std::size_t> healthy{0};
-  const CampaignSpec spec = sharded_test_spec(/*replicas=*/8, 7100);
+  std::atomic<std::size_t> active{0};  ///< healthy, non-retired instances
   CoordinatorOptions options;
   options.poll_interval = std::chrono::milliseconds(20);
   options.request_timeout_ms = 10'000;
   options.fleet_file = fleet_file;
   options.reload_flag = &reload;
   options.on_snapshot = [&](const FleetSnapshot& snap) {
-    members.store(snap.total_instances);
-    healthy.store(snap.healthy_instances);
+    active.store(snap.healthy_instances);
     ++snapshots;
   };
+  const CampaignSpec spec = sharded_test_spec(/*replicas=*/8, 7100);
   CampaignCoordinator coordinator(fleet, options);
   OrchestrationResult result;
   std::atomic<bool> run_done{false};
@@ -565,40 +550,31 @@ TEST(CampaignCoordinator, FleetFileReloadKeepsMembershipOnBadRewriteAndObeysFlag
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     return condition();
   };
-  // Snapshots stream after the tick's membership poll, so one taken after
-  // `mark` reflects every reload consumed before it.
+  // A snapshot streams after its tick's membership poll, so `count` more
+  // snapshots reflect every reload consumed before the call.
   const auto wait_snapshots = [&](std::size_t count) {
     const std::size_t mark = snapshots.load();
     return wait_until([&] { return snapshots.load() >= mark + count; });
   };
-  ASSERT_TRUE(wait_snapshots(1))
-      << "the campaign ended before the first snapshot";
 
-  // 1. Malformed rewrite: the forced re-read fails, membership stays.
-  rewrite_keeping_mtime("emutile-fleet v1\ninstance lhost0 pigeon /coop\n");
+  rewrite("emutile-fleet v1\ninstance lhost0 pigeon /coop\n");
   reload.store(true);
-  ASSERT_TRUE(wait_until([&] { return !reload.load(); }))
-      << "the coordinator never consumed reload_flag";
-  ASSERT_TRUE(wait_snapshots(1)) << "the campaign ended too early";
-  EXPECT_EQ(members.load(), 1u);
-  EXPECT_EQ(healthy.load(), 1u) << "a bad rewrite must not retire lhost0";
+  ASSERT_TRUE(wait_until([&] { return !reload.load(); }) && wait_snapshots(1))
+      << "the campaign ended before the malformed rewrite was re-read";
+  EXPECT_EQ(active.load(), 1u) << "a bad rewrite must not retire lhost0";
 
-  // 2. A valid rewrite with an unchanged mtime is not picked up...
   FleetConfig grown = fleet;
   grown.instances.push_back(
       {"lhost1", ServiceAddress::unix_socket(host_b.endpoint->socket_path())});
-  rewrite_keeping_mtime(serialize_fleet_config(grown));
+  rewrite(serialize_fleet_config(grown));
   ASSERT_TRUE(wait_snapshots(3)) << "the campaign ended too early";
-  EXPECT_EQ(members.load(), 1u) << "an unchanged mtime triggered a re-read";
-  // ...until the flag forces the re-read, which joins lhost1.
+  EXPECT_EQ(active.load(), 1u) << "an unchanged mtime triggered a re-read";
   reload.store(true);
-  EXPECT_TRUE(wait_until([&] { return members.load() == 2u; }))
+  EXPECT_TRUE(wait_until([&] { return active.load() == 2u; }))
       << "reload_flag never joined lhost1";
   orchestration.join();
 
   EXPECT_EQ(result.joined_instances, 1u);
-  for (const ShardProgress& shard : result.shards)
-    EXPECT_EQ(shard.state, ShardState::kDone);
   const CampaignReport direct = run_campaign(spec);
   EXPECT_EQ(result.report.to_json(), direct.to_json());
   EXPECT_EQ(result.report.to_csv(), direct.to_csv());
@@ -724,12 +700,9 @@ TEST(CampaignCoordinator, StitchedFleetTraceIsParentCleanAcrossInstances) {
         << span.name << " duplicates a span id";
     names.insert(span.name);
   }
-  for (const TraceSpan& span : result.fleet_trace) {
-    if (span.parent_id != 0) {
-      EXPECT_TRUE(ids.count(span.parent_id))
-          << span.name << " has an orphan parent reference";
-    }
-  }
+  for (const TraceSpan& span : result.fleet_trace)
+    EXPECT_TRUE(span.parent_id == 0 || ids.count(span.parent_id))
+        << span.name << " has an orphan parent reference";
 
   // The whole causal chain is present: run -> dispatch -> request ->
   // campaign -> session.

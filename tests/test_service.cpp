@@ -37,6 +37,7 @@
 #include "service/service_client.hpp"
 #include "service/service_endpoint.hpp"
 #include "service/session_service.hpp"
+#include "test_helpers.hpp"
 #include "util/check.hpp"
 
 namespace emutile {
@@ -44,19 +45,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh scratch directory per test, removed on destruction.
-struct ScratchDir {
-  fs::path path;
-  explicit ScratchDir(const std::string& name) {
-    path = fs::path(::testing::TempDir()) / ("emutile-" + name);
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using test::ScratchDir;
 
 std::string read_file(const fs::path& p) {
   std::ifstream in(p);
@@ -1259,12 +1248,10 @@ TEST(SessionService, SubmitTraceparentPropagatesThroughToCampaignSpans) {
   // upstream span the test invented (the submitter's side of the tree).
   std::set<std::uint64_t> ids;
   for (const TraceSpan& span : trace) ids.insert(span.span_id);
-  for (const TraceSpan& span : trace) {
-    if (span.parent_id != 0 && span.parent_id != upstream.span_id) {
-      EXPECT_TRUE(ids.count(span.parent_id))
-          << span.name << " has an orphan parent";
-    }
-  }
+  for (const TraceSpan& span : trace)
+    EXPECT_TRUE(span.parent_id == 0 || span.parent_id == upstream.span_id ||
+                ids.count(span.parent_id))
+        << span.name << " has an orphan parent";
 
   // The campaign's own trace.json sidecar loads as Chrome trace-event JSON.
   const std::string trace_json =
