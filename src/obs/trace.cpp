@@ -284,8 +284,6 @@ ScopedSpan::ScopedSpan(Tracer& tracer, std::string_view name,
                        TraceContext parent)
     : tracer_(&tracer), ctx_(tracer.begin(name, parent)) {}
 
-ScopedSpan::~ScopedSpan() {
-  if (ctx_.valid()) tracer_->finish();
-}
+ScopedSpan::~ScopedSpan() { tracer_->finish(); }
 
 }  // namespace emutile

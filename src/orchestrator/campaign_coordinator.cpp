@@ -430,8 +430,7 @@ void CampaignCoordinator::maybe_steal() {
     const std::size_t done =
         std::min(shard->progress.sessions_done, shard->progress.sessions_total);
     const std::size_t remaining = shard->progress.sessions_total - done;
-    if (remaining >= kMinStealSessions &&
-        remaining > most_remaining) {
+    if (remaining >= kMinStealSessions && remaining > most_remaining) {
       most_remaining = remaining;
       victim = shard.get();
     }

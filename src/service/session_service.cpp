@@ -274,9 +274,9 @@ std::string SessionService::submit(const CampaignSpec& spec, int priority,
   // Hand off to the dispatcher: spec persistence and scheduling (disk IO)
   // happen off the submit path. A full ring blocks bounded-ly — it cannot
   // happen under a max_pending bound, which intake_slots() sizes the ring
-  // to cover. push_wait only refuses when the service is
-  // already stopping, in which case the shutdown path cancels + finalizes
-  // the registered campaign like any other queued one.
+  // to cover. push_wait only refuses when the service is already stopping,
+  // in which case the shutdown path cancels + finalizes the registered
+  // campaign like any other queued one.
   if (!intake_.push_wait(c, intake_stop_)) {
     std::lock_guard<std::mutex> lock(mutex_);
     c->cancel_flag.store(true);
