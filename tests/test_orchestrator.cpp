@@ -4,10 +4,10 @@
 // instances, re-dispatch when an instance is killed mid-campaign, a rolling
 // drain-restart upgrade across the whole fleet, fleet-file membership
 // reloads, spool-addressed instances, and the all-instances-down in-process
-// fallback. The load-bearing
-// assertion throughout: the merged fleet report is byte-identical to a
-// direct unsharded run_campaign of the same spec (with a field-by-field
-// differential cross-check explaining any divergence).
+// fallback. The load-bearing assertion throughout: the merged fleet report
+// is byte-identical to a direct unsharded run_campaign of the same spec
+// (with a field-by-field differential cross-check explaining any
+// divergence).
 
 #include <gtest/gtest.h>
 
@@ -499,7 +499,7 @@ TEST(CampaignCoordinator, TcpFleetSurvivesKillPlusJoinMidCampaign) {
             "");
 }
 
-TEST(CampaignCoordinator, FleetFileReloadKeepsMembershipOnBadRewriteAndObeysFlag) {
+TEST(CampaignCoordinator, FleetFileReloadRejectsBadRewriteAndObeysFlag) {
   // During one running campaign: a malformed fleet-file rewrite is rejected
   // and the membership kept; a valid rewrite is ignored until reload_flag
   // forces the re-read, which joins the new instance. Every rewrite keeps
