@@ -48,6 +48,12 @@ Placer::Placer(const Device& device, const PackedDesign& packed,
     nets_of_inst_[n.src_inst.value()].push_back(i);
     for (InstId s : n.sink_insts)
       if (s != n.src_inst) nets_of_inst_[s.value()].push_back(i);
+    net_q_.push_back(crossing_factor(n.sink_insts.size() + 1));
+  }
+  center2_.resize(static_cast<std::size_t>(device.num_sites()));
+  for (SiteIndex s = 0; s < center2_.size(); ++s) {
+    auto [x, y] = device.site_center(s);
+    center2_[s] = {static_cast<int>(2.0 * x), static_cast<int>(2.0 * y)};
   }
 }
 
@@ -70,17 +76,21 @@ double Placer::crossing_factor(std::size_t terminals) {
 Placer::NetBox Placer::net_box(const Placement& placement,
                                std::size_t net_index) const {
   const PhysNet& n = nets_[net_index];
-  auto [x, y] = placement.position(n.src_inst);
-  NetBox box{x, x, y, y, 0.0};
+  const Point2 c = center2_[placement.site_of(n.src_inst)];
+  NetBox box{c.x, c.x, c.y, c.y, 0.0};
   for (InstId s : n.sink_insts) {
-    auto [sx, sy] = placement.position(s);
-    box.x_min = std::min(box.x_min, sx);
-    box.x_max = std::max(box.x_max, sx);
-    box.y_min = std::min(box.y_min, sy);
-    box.y_max = std::max(box.y_max, sy);
+    const Point2 sc = center2_[placement.site_of(s)];
+    box.x_min = std::min(box.x_min, sc.x);
+    box.x_max = std::max(box.x_max, sc.x);
+    box.y_min = std::min(box.y_min, sc.y);
+    box.y_max = std::max(box.y_max, sc.y);
   }
-  box.cost = crossing_factor(n.sink_insts.size() + 1) *
-             ((box.x_max - box.x_min) + (box.y_max - box.y_min));
+  // Halving the doubled half-perimeter is exact, so this is bit-identical to
+  // pricing the box in site_center() coordinates.
+  box.cost = net_q_[net_index] *
+             (static_cast<double>((box.x_max - box.x_min) +
+                                  (box.y_max - box.y_min)) *
+              0.5);
   return box;
 }
 
@@ -119,9 +129,9 @@ void Placer::seed_unplaced(Placement& placement,
       const PhysNet& net = nets_[ni];
       auto consider = [&](InstId other) {
         if (other == id || !placement.is_placed(other)) return;
-        auto [x, y] = placement.position(other);
-        cx += x;
-        cy += y;
+        const Point2 o = center2_[placement.site_of(other)];
+        cx += 0.5 * o.x;
+        cy += 0.5 * o.y;
         ++n;
       };
       consider(net.src_inst);
@@ -139,8 +149,9 @@ void Placer::seed_unplaced(Placement& placement,
         double best = 1e300;
         for (std::size_t k = 0; k < pool.size(); ++k) {
           if (!constraints.site_allowed(*device_, id, pool[k])) continue;
-          auto [x, y] = device_->site_center(pool[k]);
-          const double d = std::abs(x - c->first) + std::abs(y - c->second);
+          const Point2 s2 = center2_[pool[k]];
+          const double d = std::abs(0.5 * s2.x - c->first) +
+                           std::abs(0.5 * s2.y - c->second);
           if (d < best) {
             best = d;
             chosen = k;
@@ -207,6 +218,7 @@ PlaceResult Placer::place(Placement& placement, const PlacerParams& params,
 
   // ---- move machinery ----
   std::vector<std::uint32_t> touched;  // net indices affected by a move
+  std::vector<NetBox> trial;           // touched nets' boxes after the move
   std::vector<std::uint32_t> net_mark(nets_.size(), 0);
   std::uint32_t epoch = 0;
 
@@ -298,14 +310,19 @@ PlaceResult Placer::place(Placement& placement, const PlacerParams& params,
       placement.move(a, target);
 
     double new_cost = 0.0;
-    for (std::uint32_t n : touched) new_cost += net_box(placement, n).cost;
+    trial.clear();
+    for (std::uint32_t n : touched) {
+      trial.push_back(net_box(placement, n));
+      new_cost += trial.back().cost;
+    }
 
     const double delta = new_cost - old_cost;
     const bool accept =
         delta <= 0.0 ||
         (temperature > 0.0 && rng.next_double() < std::exp(-delta / temperature));
     if (accept) {
-      for (std::uint32_t n : touched) boxes[n] = net_box(placement, n);
+      for (std::size_t k = 0; k < touched.size(); ++k)
+        boxes[touched[k]] = trial[k];
       cost += delta;
       ++result.moves_accepted;
     } else {

@@ -104,9 +104,14 @@ class Placer {
   [[nodiscard]] double wirelength_cost(const Placement& placement) const;
 
  private:
+  /// Bounding box in doubled site-center coordinates (every center is a
+  /// multiple of 0.5, so doubling makes the box integral and exact).
   struct NetBox {
-    double x_min = 0, x_max = 0, y_min = 0, y_max = 0;
+    int x_min = 0, x_max = 0, y_min = 0, y_max = 0;
     double cost = 0;
+  };
+  struct Point2 {
+    int x = 0, y = 0;
   };
 
   void seed_unplaced(Placement& placement, const PlaceConstraints& constraints,
@@ -119,7 +124,8 @@ class Placer {
   const PackedDesign* packed_;
   std::span<const PhysNet> nets_;
   std::vector<std::vector<std::uint32_t>> nets_of_inst_;
-  std::vector<InstId> terminals_scratch_;
+  std::vector<Point2> center2_;  ///< per site: doubled site_center()
+  std::vector<double> net_q_;    ///< per net: crossing_factor(terminals)
 };
 
 }  // namespace emutile

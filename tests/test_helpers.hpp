@@ -1,6 +1,7 @@
 #pragma once
 /// Shared fixtures: small hand-built netlists and random-netlist factories
-/// used across the test suite, the field-by-field campaign-report differ
+/// used across the test suite, the fingerprints that pin placements and
+/// route trees in golden tests, the field-by-field campaign-report differ
 /// the durability and orchestrator suites use to explain byte-inequality
 /// failures, and the per-test scratch directory of the service suites.
 
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/tiled_design.hpp"
 #include "designs/blocks.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/netlist_ops.hpp"
@@ -161,6 +163,34 @@ inline std::string diff_campaign_reports_csv(const std::string& expected,
              << ": expected '" << a[c] << "' got '" << b[c] << "'\n";
   }
   return diff.str();
+}
+
+/// FNV-1a over a stream of integers: a compact fingerprint that pins a
+/// placement or a set of route trees bit for bit in golden tests.
+struct Fingerprint {
+  std::uint64_t value = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      value ^= (v >> (8 * i)) & 0xffU;
+      value *= 0x100000001b3ULL;
+    }
+  }
+};
+
+/// Fingerprint of every route tree of a design, in net order.
+inline std::uint64_t route_fingerprint(const TiledDesign& d) {
+  Fingerprint fp;
+  for (const PhysNet& n : d.nets) {
+    fp.add(n.net.value());
+    if (!d.routing->has_tree(n.net)) continue;
+    const RouteTree& t = d.routing->tree(n.net);
+    fp.add(t.nodes.size());
+    for (std::size_t i = 0; i < t.nodes.size(); ++i) {
+      fp.add(t.nodes[i].value());
+      fp.add(static_cast<std::uint64_t>(t.parent[i]));
+    }
+  }
+  return fp.value;
 }
 
 /// Response capture: run `patterns` through a netlist, returning all PO

@@ -231,5 +231,48 @@ TEST(Placer, SeedsUnplacedNearNeighborsInIncrementalMode) {
   p.validate(f.packed);
 }
 
+std::uint64_t site_fingerprint(const Placement& p,
+                               const PackedDesign& packed) {
+  test::Fingerprint fp;
+  for (InstId id : packed.live_insts()) {
+    fp.add(id.value());
+    fp.add(p.site_of(id));
+  }
+  return fp.value;
+}
+
+// Pinned results for one netlist and seed: the cost must match bit for bit,
+// so any change to the cost arithmetic, the move order or the nearest-site
+// scan shows up as a different cost, acceptance count or placement. Update
+// the values only for an intended change to placement results.
+TEST(Placer, GoldenFromScratchAndIncremental) {
+  PlaceFixture f(60);
+  Placement p(f.device, f.packed);
+  Placer placer(f.device, f.packed, f.nets);
+  PlacerParams full;
+  full.seed = 9;
+  const PlaceResult r = placer.place(p, full);
+  EXPECT_EQ(r.final_cost, 0x1.b9c72b020c48ap+8);
+  EXPECT_EQ(r.moves_accepted, 8854u);
+  EXPECT_EQ(site_fingerprint(p, f.packed), 0x2202df648f79beb1ULL);
+
+  // Unplace a few CLBs so the incremental run reseeds them next to their
+  // neighbours, then refine inside a region.
+  std::vector<InstId> clbs;
+  for (InstId id : f.packed.live_insts())
+    if (f.packed.inst(id).is_clb()) clbs.push_back(id);
+  for (std::size_t i = 0; i < clbs.size(); i += 7) p.clear(clbs[i]);
+  PlaceConstraints cons(f.packed.inst_bound());
+  cons.set_region(clbs[0], Rect{0, 0, 3, 3});
+  PlacerParams inc;
+  inc.seed = 10;
+  inc.incremental = true;
+  const PlaceResult ri = placer.place(p, inc, cons);
+  p.validate(f.packed);
+  EXPECT_EQ(ri.final_cost, 0x1.b6b1d14e3bcd7p+8);
+  EXPECT_EQ(ri.moves_accepted, 345u);
+  EXPECT_EQ(site_fingerprint(p, f.packed), 0xd908ac1ff771bb93ULL);
+}
+
 }  // namespace
 }  // namespace emutile
