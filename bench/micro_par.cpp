@@ -59,7 +59,7 @@ void BM_RouteFull(benchmark::State& state) {
   for (auto _ : state) {
     for (const PhysNet& n : d.nets) d.routing->rip_up(n.net);
     Router router(*d.rr);
-    auto tasks = make_route_tasks(*d.rr, d.packed, *d.placement, d.nets);
+    auto tasks = make_route_tasks(*d.rr, *d.placement, d.nets);
     const RouteResult r =
         router.route(std::move(tasks), *d.routing, RouterParams{});
     if (!r.success) state.SkipWithError("routing failed");

@@ -80,17 +80,6 @@ int RrGraph::num_opins(SiteIndex site) const {
   return device_->is_clb_site(site) ? ClbPinModel::kNumOpins : 1;
 }
 
-float RrGraph::base_cost(RrType type) {
-  switch (type) {
-    case RrType::kOpin: return 0.5f;
-    case RrType::kIpin: return 0.5f;
-    case RrType::kSink: return 0.0f;
-    case RrType::kChanX:
-    case RrType::kChanY: return 1.0f;
-  }
-  return 1.0f;
-}
-
 float RrGraph::intrinsic_delay_ns(RrType type) {
   switch (type) {
     case RrType::kOpin: return 0.30f;

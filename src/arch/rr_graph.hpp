@@ -74,8 +74,18 @@ class RrGraph {
   [[nodiscard]] int num_ipins(SiteIndex site) const;
   [[nodiscard]] int num_opins(SiteIndex site) const;
 
-  /// Base routing cost of a node (congestion-free).
-  [[nodiscard]] static float base_cost(RrType type);
+  /// Base routing cost of a node (congestion-free). Inline: the router
+  /// prices every edge it relaxes with it.
+  [[nodiscard]] static float base_cost(RrType type) {
+    switch (type) {
+      case RrType::kOpin: return 0.5f;
+      case RrType::kIpin: return 0.5f;
+      case RrType::kSink: return 0.0f;
+      case RrType::kChanX:
+      case RrType::kChanY: return 1.0f;
+    }
+    return 1.0f;
+  }
 
   /// Intrinsic delay of a node in nanoseconds (used by STA).
   [[nodiscard]] static float intrinsic_delay_ns(RrType type);

@@ -13,8 +13,7 @@ PnrEffort route_all_with_retry(TiledDesign& design, int max_track_retries) {
   PnrEffort effort;
   for (int attempt = 0; ; ++attempt) {
     Router router(*design.rr);
-    auto tasks = make_route_tasks(*design.rr, design.packed, *design.placement,
-                                  design.nets);
+    auto tasks = make_route_tasks(*design.rr, *design.placement, design.nets);
     // From-scratch: drop any existing trees first.
     for (const PhysNet& n : design.nets) design.routing->rip_up(n.net);
     RouterParams rp;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <queue>
+#include <functional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -13,32 +13,13 @@
 
 namespace emutile {
 
-namespace {
-
-struct HeapEntry {
-  float est;
-  float cost;
-  std::uint32_t node;
-  friend bool operator>(const HeapEntry& a, const HeapEntry& b) {
-    return a.est > b.est;
-  }
-};
-
-using MinHeap =
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
-
-}  // namespace
-
 Router::Router(const RrGraph& rr) : rr_(&rr) {
   const std::size_t n = rr.num_nodes();
-  cost_to_.assign(n, 0.0f);      // tentative cost (epoch-gated)
-  visit_epoch_.assign(n, 0);     // settled tag
-  prev_.assign(n, 0);
-  mark_epoch_.assign(n, 0);
-  mark_value_.assign(n, -1);
+  search_.assign(n, SearchSlot{});
+  marks_.assign(n, MarkSlot{});
   hist_cost_.assign(n, 0.0f);
   locked_occ_.assign(n, 0);
-  tent_epoch_.assign(n, 0);
+  site_epoch_.assign(static_cast<std::size_t>(rr.device().num_sites()), 0);
 }
 
 float Router::node_cost(RrNodeId node, const Routing& routing,
@@ -243,21 +224,25 @@ bool Router::route_net(TaskState& state, Routing& routing,
   ++mark_tag_;
   const std::uint32_t mark_tag = mark_tag_;
   auto mark = [&](RrNodeId n, std::int32_t value) {
-    mark_epoch_[n.value()] = mark_tag;
-    mark_value_[n.value()] = value;
+    marks_[n.value()].tag = mark_tag;
+    marks_[n.value()].value = value;
   };
   auto mark_of = [&](RrNodeId n) -> std::int32_t {
-    return mark_epoch_[n.value()] == mark_tag ? mark_value_[n.value()] : -1;
+    const MarkSlot& m = marks_[n.value()];
+    return m.tag == mark_tag ? m.value : -1;
   };
 
-  // rr node -> index in state.tree.nodes (for parent wiring).
-  std::unordered_map<std::uint32_t, std::int32_t> tidx;
-
+  // Each tree node records its index in state.tree.nodes (parent wiring).
   auto append_tree_node = [&](RrNodeId n, std::int32_t parent_idx) {
     state.tree.nodes.push_back(n);
     state.tree.parent.push_back(parent_idx);
-    tidx[n.value()] = static_cast<std::int32_t>(state.tree.nodes.size()) - 1;
+    marks_[n.value()].tree_pos =
+        static_cast<std::int32_t>(state.tree.nodes.size()) - 1;
     mark(n, 0);
+  };
+  auto tree_index = [&](std::uint32_t n) {
+    EMUTILE_ASSERT(mark_of(RrNodeId{n}) == 0, "node is not in the tree");
+    return marks_[n].tree_pos;
   };
 
   // ---- initial tree: kept source-connected component, or bare source ----
@@ -274,9 +259,9 @@ bool Router::route_net(TaskState& state, Routing& routing,
       const std::int32_t kp = kept.parent[k];
       std::int32_t parent_idx = -1;
       if (kp >= 0) {
-        auto it = tidx.find(kept.nodes[static_cast<std::size_t>(kp)].value());
-        EMUTILE_ASSERT(it != tidx.end(), "kept forest order violated");
-        parent_idx = it->second;
+        const RrNodeId kparent = kept.nodes[static_cast<std::size_t>(kp)];
+        EMUTILE_ASSERT(mark_of(kparent) == 0, "kept forest order violated");
+        parent_idx = marks_[kparent.value()].tree_pos;
       }
       append_tree_node(kept.nodes[k], parent_idx);
     }
@@ -361,11 +346,12 @@ bool Router::route_net(TaskState& state, Routing& routing,
   by0 -= margin;
   by1 += margin;
 
-  std::unordered_set<std::uint32_t> pending_sink_sites;
+  // Sites with a pending SINK: the only sites whose IPIN/SINK nodes the
+  // search may enter.
   auto refresh_sites = [&] {
-    pending_sink_sites.clear();
+    ++site_tag_;
     for (const Target& t : state.pending)
-      if (!t.is_orphan) pending_sink_sites.insert(rr_->node(t.sink).site);
+      if (!t.is_orphan) site_epoch_[rr_->node(t.sink).site] = site_tag_;
   };
   refresh_sites();
 
@@ -387,17 +373,18 @@ bool Router::route_net(TaskState& state, Routing& routing,
   while (!state.pending.empty()) {
     ++epoch_;
     const std::uint32_t visit_tag = epoch_;
-    MinHeap heap;
+    heap_.clear();
 
     auto relax = [&](RrNodeId n, float cost, std::uint32_t prev) {
-      if (visit_epoch_[n.value()] == visit_tag) return;  // settled
-      if (tent_epoch_[n.value()] == visit_tag &&
-          cost_to_[n.value()] <= cost)
+      SearchSlot& slot = search_[n.value()];
+      if (slot.visit == visit_tag) return;  // settled
+      if (slot.tent == visit_tag && slot.cost <= cost)
         return;  // no improvement
-      tent_epoch_[n.value()] = visit_tag;
-      cost_to_[n.value()] = cost;
-      prev_[n.value()] = prev;
-      heap.push(HeapEntry{cost + heuristic(n), cost, n.value()});
+      slot.tent = visit_tag;
+      slot.cost = cost;
+      slot.prev = prev;
+      heap_.push_back(HeapEntry{cost + heuristic(n), cost, n.value()});
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
     };
 
     for (RrNodeId n : state.tree.nodes) relax(n, 0.0f, n.value());
@@ -407,12 +394,13 @@ bool Router::route_net(TaskState& state, Routing& routing,
     std::int32_t reached_kind = -1;  // 0 sink; > 0 orphan group
     std::size_t settled = 0;
 
-    while (!heap.empty()) {
-      const HeapEntry top = heap.top();
-      heap.pop();
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      const HeapEntry top = heap_.back();
+      heap_.pop_back();
       const RrNodeId node{top.node};
-      if (visit_epoch_[top.node] == visit_tag) continue;
-      visit_epoch_[top.node] = visit_tag;
+      if (search_[top.node].visit == visit_tag) continue;
+      search_[top.node].visit = visit_tag;
       ++result.nodes_expanded;
       ++settled;
 
@@ -433,7 +421,7 @@ bool Router::route_net(TaskState& state, Routing& routing,
       }
 
       for (RrNodeId nb : rr_->fanout(node)) {
-        if (visit_epoch_[nb.value()] == visit_tag) continue;
+        if (search_[nb.value()].visit == visit_tag) continue;
         const std::int32_t nb_mark = mark_of(nb);
         if (nb_mark == 0) continue;  // already in the growing tree
         if (nb_mark > 0 && !orphan_enterable(nb, nb_mark)) continue;
@@ -449,7 +437,7 @@ bool Router::route_net(TaskState& state, Routing& routing,
           const auto ny = static_cast<float>(info.y);
           if (nx < bx0 || nx > bx1 || ny < by0 || ny > by1) continue;
           if ((info.type == RrType::kIpin || info.type == RrType::kSink) &&
-              !pending_sink_sites.count(info.site))
+              site_epoch_[info.site] != site_tag_)
             continue;
           if (info.type == RrType::kOpin) continue;  // never route through
         }
@@ -477,8 +465,8 @@ bool Router::route_net(TaskState& state, Routing& routing,
                                  << settled << " settled");
       if (log_threshold() <= LogLevel::kDebug) {
         float mx = -99, my = -99, mnx = 99, mny = 99;
-        for (std::size_t v = 0; v < visit_epoch_.size(); ++v) {
-          if (visit_epoch_[v] != visit_tag) continue;
+        for (std::size_t v = 0; v < search_.size(); ++v) {
+          if (search_[v].visit != visit_tag) continue;
           const RrNodeInfo& inf = rr_->node(RrNodeId{static_cast<std::uint32_t>(v)});
           if (inf.type != RrType::kChanX && inf.type != RrType::kChanY) continue;
           mx = std::max(mx, static_cast<float>(inf.x));
@@ -496,16 +484,16 @@ bool Router::route_net(TaskState& state, Routing& routing,
     std::vector<RrNodeId> path;
     {
       std::uint32_t cur = reached_node.value();
-      while (prev_[cur] != cur) {
+      while (search_[cur].prev != cur) {
         path.push_back(RrNodeId{cur});
-        cur = prev_[cur];
+        cur = search_[cur].prev;
       }
       path.push_back(RrNodeId{cur});
       std::reverse(path.begin(), path.end());
     }
 
     // Append the path; path[0] is the seed, already in the tree.
-    std::int32_t parent_idx = tidx.at(path[0].value());
+    std::int32_t parent_idx = tree_index(path[0].value());
     for (std::size_t i = 1; i < path.size(); ++i) {
       EMUTILE_ASSERT(mark_of(path[i]) != 0, "path re-enters tree");
       append_tree_node(path[i], parent_idx);
@@ -542,7 +530,7 @@ bool Router::route_net(TaskState& state, Routing& routing,
         const std::uint32_t cur = queue[head++];
         for (std::uint32_t nb : adj[cur]) {
           if (!visited.insert(nb).second) continue;
-          append_tree_node(RrNodeId{nb}, tidx.at(cur));
+          append_tree_node(RrNodeId{nb}, tree_index(cur));
           queue.push_back(nb);
         }
       }
@@ -571,7 +559,6 @@ bool Router::route_net(TaskState& state, Routing& routing,
 }
 
 std::vector<NetTask> make_route_tasks(const RrGraph& rr,
-                                      const PackedDesign& packed,
                                       const Placement& placement,
                                       std::span<const PhysNet> nets) {
   std::vector<NetTask> tasks;
@@ -584,7 +571,6 @@ std::vector<NetTask> make_route_tasks(const RrGraph& rr,
       t.sinks.push_back(rr.sink(placement.site_of(s)));
     tasks.push_back(std::move(t));
   }
-  (void)packed;
   return tasks;
 }
 

@@ -80,6 +80,33 @@ class Router {
     bool routed = false;
   };
 
+  /// Per-node A* state, packed so one relaxation touches one cache line.
+  struct SearchSlot {
+    float cost = 0.0f;        // tentative path cost
+    std::uint32_t tent = 0;   // tentative-cost validity tag
+    std::uint32_t visit = 0;  // settled tag
+    std::uint32_t prev = 0;   // backtrace predecessor
+  };
+
+  /// Per-node membership of the net being routed, valid while `tag` equals
+  /// the net's mark tag.
+  struct MarkSlot {
+    std::uint32_t tag = 0;
+    std::int32_t value = -1;     // 0 = in the tree, g > 0 = orphan group g
+    std::int32_t tree_pos = -1;  // index in the tree (value 0 only)
+  };
+
+  /// A* frontier entry, ordered by estimated total cost (min-heap through
+  /// std::greater).
+  struct HeapEntry {
+    float est;
+    float cost;
+    std::uint32_t node;
+    friend bool operator>(const HeapEntry& a, const HeapEntry& b) {
+      return a.est > b.est;
+    }
+  };
+
   /// Route one net completely (all pending targets). Returns false if some
   /// target is unreachable under the current constraints.
   bool route_net(TaskState& state, Routing& routing,
@@ -95,21 +122,20 @@ class Router {
   const RrGraph* rr_;
 
   // Scratch, epoch-marked (sized to rr nodes).
-  std::vector<float> cost_to_;              // tentative path cost
-  std::vector<std::uint32_t> tent_epoch_;   // tentative-cost validity tag
-  std::vector<std::uint32_t> visit_epoch_;  // settled tag
-  std::vector<std::uint32_t> prev_;
-  std::vector<std::uint32_t> mark_epoch_;   // connected/orphan marking epoch
-  std::vector<std::int32_t> mark_value_;    // 0 = connected, >0 orphan group
+  std::vector<SearchSlot> search_;
+  std::vector<MarkSlot> marks_;
   std::vector<float> hist_cost_;
   std::vector<std::int32_t> locked_occ_;    // obstacle snapshot
+  std::vector<std::uint32_t> site_epoch_;   // per site: pending-sink tag
+  std::vector<HeapEntry> heap_;             // A* frontier (binary heap)
   std::uint32_t epoch_ = 0;                 // per-search visit tag
   std::uint32_t mark_tag_ = 0;              // per-net mark tag
+  std::uint32_t site_tag_ = 0;              // per-refresh pending-site tag
 };
 
 /// Build from-scratch route tasks for all physical nets (full routing).
 [[nodiscard]] std::vector<NetTask> make_route_tasks(
-    const RrGraph& rr, const PackedDesign& packed, const Placement& placement,
+    const RrGraph& rr, const Placement& placement,
     std::span<const PhysNet> nets);
 
 }  // namespace emutile

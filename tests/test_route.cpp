@@ -265,5 +265,54 @@ TEST(Router, ConfinedRouteNeverStraysOutsideMask) {
       EXPECT_TRUE(kept_nodes.count(x.value()) || masks.allowed[x.value()]);
 }
 
+// Pinned results for fixed designs: a different tie order in the A* heap, a
+// different cost or a different target set changes the expansion count or
+// some tree. Update the values only for an intended change to routing
+// results.
+TEST(Router, GoldenFullRoute) {
+  TiledDesign d = build_small(60, 9, 6);
+  EXPECT_EQ(d.build_effort.nodes_expanded, 474349u);
+  EXPECT_EQ(test::route_fingerprint(d), 0x60daa6289b5e73afULL);
+
+  for (const PhysNet& n : d.nets) d.routing->rip_up(n.net);
+  Router router(*d.rr);
+  const RouteResult res = router.route(
+      make_route_tasks(*d.rr, *d.placement, d.nets), *d.routing, {});
+  ASSERT_TRUE(res.success);
+  EXPECT_EQ(res.iterations, 7);
+  EXPECT_EQ(res.nodes_expanded, 24269u);
+  EXPECT_EQ(test::route_fingerprint(d), 0x60daa6289b5e73afULL);
+}
+
+TEST(Router, GoldenConfinedRouteWithKeptForest) {
+  TiledDesign d = build_small(60, 5, 12);
+  const TileGrid grid(d.device->width(), d.device->height(), 3, 1);
+  const RegionMasks masks =
+      build_region_masks(*d.rr, grid, std::vector<std::uint8_t>{0, 1, 0});
+  std::vector<NetTask> tasks;
+  for (const PhysNet& n : d.nets) {
+    bool touches = false;
+    for (RrNodeId x : d.routing->tree(n.net).nodes)
+      if (masks.rip[x.value()]) touches = true;
+    if (!touches) continue;
+    NetTask t;
+    t.net = n.net;
+    t.source = d.rr->opin(d.placement->site_of(n.src_inst), n.src_opin);
+    for (InstId s : n.sink_insts)
+      t.sinks.push_back(d.rr->sink(d.placement->site_of(s)));
+    t.kept = d.routing->rip_up_partial(n.net, masks.rip, t.source);
+    tasks.push_back(std::move(t));
+  }
+  ASSERT_FALSE(tasks.empty());
+
+  Router router(*d.rr);
+  RouterParams rp;
+  rp.allowed_mask = &masks.allowed;
+  const RouteResult res = router.route(std::move(tasks), *d.routing, rp);
+  ASSERT_TRUE(res.success);
+  EXPECT_EQ(res.nodes_expanded, 3022u);
+  EXPECT_EQ(test::route_fingerprint(d), 0xc667138fddbe80f9ULL);
+}
+
 }  // namespace
 }  // namespace emutile
