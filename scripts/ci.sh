@@ -25,7 +25,9 @@
 #                service suite — the lane that keeps the relaxed-atomic
 #                recording paths honestly race-free. The durability tier
 #                rides along, so drain/reattach cross the same locks under
-#                TSan that the service suite hammers.
+#                TSan that the service suite hammers, and so does the core
+#                suite, whose clones route concurrently over one shared RR
+#                graph.
 #   durability   the crash-kill lane: run only the `durability`-labeled tests
 #                (journal round-trips, SIGKILL-at-fault-point recovery, the
 #                drain/handoff admission checks) under the instrumented

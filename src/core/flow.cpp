@@ -30,8 +30,8 @@ PnrEffort route_all_with_retry(TiledDesign& design, int max_track_retries) {
     dp.tracks_per_channel += 4;
     EMUTILE_INFO("routing failed; widening channels to "
                  << dp.tracks_per_channel << " tracks");
-    design.device = std::make_unique<Device>(dp);
-    design.rr = std::make_unique<RrGraph>(*design.device);
+    design.device = std::make_shared<const Device>(dp);
+    design.rr = std::make_shared<const RrGraph>(*design.device);
     design.routing = std::make_unique<Routing>(*design.rr);
     design.placement->rebind(*design.device, design.packed);
   }
@@ -50,8 +50,8 @@ TiledDesign build_flat(Netlist netlist, const FlowParams& params) {
   const DeviceParams dp = Device::size_for(
       sites, static_cast<int>(std::ceil(iobs * params.iob_margin)),
       params.tracks_per_channel);
-  design.device = std::make_unique<Device>(dp);
-  design.rr = std::make_unique<RrGraph>(*design.device);
+  design.device = std::make_shared<const Device>(dp);
+  design.rr = std::make_shared<const RrGraph>(*design.device);
   design.placement = std::make_unique<Placement>(*design.device, design.packed);
   design.routing = std::make_unique<Routing>(*design.rr);
   design.refresh_nets();

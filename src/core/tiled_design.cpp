@@ -34,8 +34,8 @@ TiledDesign TiledDesign::clone() const {
   TiledDesign out;
   out.netlist = netlist;
   out.packed = packed;
-  out.device = std::make_unique<Device>(device->params());
-  out.rr = std::make_unique<RrGraph>(*out.device);
+  out.device = device;
+  out.rr = rr;
   out.placement =
       std::make_unique<Placement>(*out.device, out.packed, *placement);
   out.routing = std::make_unique<Routing>(*out.rr, *routing);

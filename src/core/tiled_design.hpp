@@ -45,8 +45,10 @@ struct TiledDesign {
 
   Netlist netlist;
   PackedDesign packed;
-  std::unique_ptr<Device> device;
-  std::unique_ptr<RrGraph> rr;
+  /// Immutable once built, so clones share them; widening channels builds a
+  /// new pair and re-points only this design.
+  std::shared_ptr<const Device> device;
+  std::shared_ptr<const RrGraph> rr;
   std::unique_ptr<Placement> placement;
   std::unique_ptr<Routing> routing;
   std::vector<PhysNet> nets;          ///< cached physical nets
@@ -75,11 +77,12 @@ struct TiledDesign {
   /// route trees). Used by tests and after ECOs.
   void validate() const;
 
-  /// Deep copy (rebuilds the device/RR graph and rebinds placement/routing).
-  /// Cell/net/instance ids are preserved, so a netlist edit scripted against
-  /// the original applies identically to the clone. This is the warm-start
-  /// primitive: cloning a pre-injection baseline costs RR-graph
-  /// reconstruction only — no placer or router search — which is why
+  /// Copy that shares the immutable device and RR graph and deep-copies
+  /// everything mutable (netlist, packing, placement, routing). Cell/net/
+  /// instance ids are preserved, so a netlist edit scripted against the
+  /// original applies identically to the clone. This is the warm-start
+  /// primitive: cloning a pre-injection baseline costs a few vector copies
+  /// — no graph construction, placer or router search — which is why
   /// TilingEngine::rebase is orders of magnitude cheaper than build().
   [[nodiscard]] TiledDesign clone() const;
 };

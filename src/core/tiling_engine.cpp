@@ -152,8 +152,8 @@ TiledDesign TilingEngine::build(Netlist netlist, const TilingParams& params) {
   if (params.route_headroom > 0) {
     DeviceParams dp = design.device->params();
     dp.tracks_per_channel += params.route_headroom;
-    design.device = std::make_unique<Device>(dp);
-    design.rr = std::make_unique<RrGraph>(*design.device);
+    design.device = std::make_shared<const Device>(dp);
+    design.rr = std::make_shared<const RrGraph>(*design.device);
     design.routing = std::make_unique<Routing>(*design.rr);
     design.placement->rebind(*design.device, design.packed);
   }

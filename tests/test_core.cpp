@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -331,6 +332,69 @@ TEST(Flow, CloneIsDeepAndIdentical) {
   const SiteIndex before = d.placement->site_of(some);
   c.placement->clear(some);
   EXPECT_EQ(d.placement->site_of(some), before);
+}
+
+TEST(Flow, CloneSharesDeviceAndGraph) {
+  FlowParams fp;
+  fp.seed = 8;
+  fp.slack = 0.2;
+  const TiledDesign d = build_flat(test::make_random_netlist(50, 8), fp);
+  const TiledDesign c = d.clone();
+  EXPECT_EQ(c.device.get(), d.device.get());
+  EXPECT_EQ(c.rr.get(), d.rr.get());
+  EXPECT_EQ(&c.routing->rr(), d.rr.get());
+  EXPECT_EQ(&c.placement->device(), d.device.get());
+  EXPECT_EQ(test::route_fingerprint(c), test::route_fingerprint(d));
+}
+
+TEST(Flow, WideningACloneLeavesBaselineUntouched) {
+  FlowParams fp;
+  fp.seed = 8;
+  fp.slack = 0.2;
+  const TiledDesign d = build_flat(test::make_random_netlist(50, 8), fp);
+  const Device* device = d.device.get();
+  const RrGraph* rr = d.rr.get();
+  const int tracks = d.device->params().tracks_per_channel;
+  const std::uint64_t trees = test::route_fingerprint(d);
+
+  // Starve the clone to 2 tracks so its re-route must widen the channels.
+  TiledDesign c = d.clone();
+  DeviceParams narrow = c.device->params();
+  narrow.tracks_per_channel = 2;
+  c.device = std::make_shared<const Device>(narrow);
+  c.rr = std::make_shared<const RrGraph>(*c.device);
+  c.routing = std::make_unique<Routing>(*c.rr);
+  c.placement->rebind(*c.device, c.packed);
+  route_all_with_retry(c, 8);
+  c.validate();
+  EXPECT_GT(c.device->params().tracks_per_channel, 2);
+
+  EXPECT_EQ(d.device.get(), device);
+  EXPECT_EQ(d.rr.get(), rr);
+  EXPECT_EQ(&d.routing->rr(), rr);
+  EXPECT_EQ(d.device->params().tracks_per_channel, tracks);
+  EXPECT_EQ(test::route_fingerprint(d), trees);
+  d.validate();
+}
+
+TEST(Flow, ConcurrentReroutesOfSharedGraphClonesMatchSerial) {
+  FlowParams fp;
+  fp.seed = 12;
+  fp.slack = 0.2;
+  const TiledDesign base = build_flat(test::make_random_netlist(60, 12), fp);
+  const auto reroute = [&base] {
+    TiledDesign c = base.clone();
+    route_all_with_retry(c);
+    return test::route_fingerprint(c);
+  };
+  const std::uint64_t serial = reroute();
+  std::uint64_t a = 0, b = 0;
+  std::thread ta([&] { a = reroute(); });
+  std::thread tb([&] { b = reroute(); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(a, serial);
+  EXPECT_EQ(b, serial);
 }
 
 }  // namespace
