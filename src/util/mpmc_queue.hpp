@@ -20,6 +20,15 @@
 /// path never touches the lock when the ring has room/work, matching how the
 /// service uses it (intake bursts stay lock-free, idle workers sleep).
 ///
+/// No wakeup is lost. A sleeper registers in its sleeper count, then
+/// re-checks the ring under the wait mutex with a non-consuming peek before
+/// it waits; the opposite side publishes its cell, then reads that count
+/// with an acq_rel read-modify-write and notifies under the same mutex.
+/// Both sides' count accesses are RMWs, so one reads the other's: either the
+/// publisher reads the registration and its notify finds the sleeper, or
+/// the registration reads the publisher's RMW, synchronizes with it, and the
+/// peek sees the cell.
+///
 /// T must be nothrow-move-constructible (values move through the cells).
 
 #include <atomic>
@@ -91,9 +100,9 @@ class MpmcQueue {
     Cell& cell = cells_[pos & mask_];
     ::new (&cell.storage) T(std::move(value));
     cell.count.store(pos + 1, std::memory_order_release);  // publish
-    if (sleepers_.load(std::memory_order_seq_cst) > 0) {
+    if (pop_sleepers_.fetch_add(0, std::memory_order_acq_rel) > 0) {
       std::lock_guard<std::mutex> lock(wait_mutex_);
-      wait_cv_.notify_one();
+      not_empty_.notify_one();
     }
     return true;
   }
@@ -122,9 +131,9 @@ class MpmcQueue {
     value->~T();
     // Mark the cell empty for the *next* lap of producers.
     cell.count.store(pos + mask_ + 1, std::memory_order_release);
-    if (sleepers_.load(std::memory_order_seq_cst) > 0) {
+    if (push_sleepers_.fetch_add(0, std::memory_order_acq_rel) > 0) {
       std::lock_guard<std::mutex> lock(wait_mutex_);
-      wait_cv_.notify_one();
+      not_full_.notify_one();
     }
     return out;
   }
@@ -135,24 +144,9 @@ class MpmcQueue {
   [[nodiscard]] std::optional<T> pop_wait(const std::atomic<bool>& stop) {
     for (;;) {
       if (std::optional<T> v = try_pop()) return v;
-      // Register as a sleeper, then re-check *outside* the wait mutex
-      // (try_pop itself may take it to notify). A push landing between the
-      // re-check and the wait can slip its notify past us — the 50 ms
-      // timeout bounds that race instead of a cross-ordering fence argument.
-      sleepers_.fetch_add(1, std::memory_order_seq_cst);
-      if (std::optional<T> v = try_pop()) {
-        sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-        return v;
-      }
-      if (stop.load(std::memory_order_acquire)) {
-        sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-        return std::nullopt;
-      }
-      {
-        std::unique_lock<std::mutex> lock(wait_mutex_);
-        wait_cv_.wait_for(lock, std::chrono::milliseconds(50));
-      }
-      sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+      if (!sleep_until(pop_sleepers_, not_empty_, stop,
+                       [this] { return has_value(); }))
+        return try_pop();  // stopping: hand out a last straggler, if any
     }
   }
 
@@ -160,22 +154,11 @@ class MpmcQueue {
   /// (returns false then, value dropped — only used on teardown paths).
   [[nodiscard]] bool push_wait(T value, const std::atomic<bool>& stop) {
     for (;;) {
-      if (try_push(std::move(value))) return true;
       // try_push only moves-from on success, so `value` is still intact.
-      sleepers_.fetch_add(1, std::memory_order_seq_cst);
-      if (try_push(std::move(value))) {
-        sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-        return true;
-      }
-      if (stop.load(std::memory_order_acquire)) {
-        sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-        return false;
-      }
-      {
-        std::unique_lock<std::mutex> lock(wait_mutex_);
-        wait_cv_.wait_for(lock, std::chrono::milliseconds(50));
-      }
-      sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+      if (try_push(std::move(value))) return true;
+      if (!sleep_until(push_sleepers_, not_full_, stop,
+                       [this] { return has_room(); }))
+        return try_push(std::move(value));
     }
   }
 
@@ -183,7 +166,8 @@ class MpmcQueue {
   /// stop flag. Call after flipping the flag.
   void notify_all() {
     std::lock_guard<std::mutex> lock(wait_mutex_);
-    wait_cv_.notify_all();
+    not_empty_.notify_all();
+    not_full_.notify_all();
   }
 
   ~MpmcQueue() {
@@ -198,6 +182,44 @@ class MpmcQueue {
     alignas(T) unsigned char storage[sizeof(T)];
   };
 
+  /// Non-consuming peeks: the head cell holds this lap's value / the tail
+  /// cell is free for this lap. Exact when quiescent, which is all a sleeper
+  /// needs — a stale answer only sends it round its loop once more.
+  [[nodiscard]] bool has_value() const {
+    const std::uint64_t pos = head_.load(std::memory_order_relaxed);
+    return cells_[pos & mask_].count.load(std::memory_order_acquire) >=
+           pos + 1;
+  }
+  [[nodiscard]] bool has_room() const {
+    const std::uint64_t pos = tail_.load(std::memory_order_relaxed);
+    return cells_[pos & mask_].count.load(std::memory_order_acquire) >= pos;
+  }
+
+  /// Sleep on `cv` until `ready()` holds or a notify arrives. Returns true
+  /// to retry the ring, false when `stop` is set and the ring is not ready.
+  /// `ready` is checked under the wait mutex after registering as a sleeper,
+  /// so a publish landing just before the wait is seen here or notifies us.
+  /// The 50 ms slice only bounds how late a stop flag set without
+  /// notify_all() is seen.
+  template <typename Ready>
+  bool sleep_until(std::atomic<std::int64_t>& sleepers,
+                   std::condition_variable& cv, const std::atomic<bool>& stop,
+                   Ready ready) {
+    sleepers.fetch_add(1, std::memory_order_acq_rel);
+    bool retry = true;
+    {
+      std::unique_lock<std::mutex> lock(wait_mutex_);
+      if (!ready()) {
+        if (stop.load(std::memory_order_acquire))
+          retry = false;
+        else
+          cv.wait_for(lock, std::chrono::milliseconds(50));
+      }
+    }
+    sleepers.fetch_sub(1, std::memory_order_relaxed);
+    return retry;
+  }
+
   std::vector<Cell> cells_;
   std::size_t mask_ = 0;
   // Head and tail on separate cache lines so producers and consumers do not
@@ -205,10 +227,14 @@ class MpmcQueue {
   alignas(64) std::atomic<std::uint64_t> tail_{0};
   alignas(64) std::atomic<std::uint64_t> head_{0};
   // Sleep/wake plumbing for the blocking variants only; the lock-free fast
-  // path checks the sleeper count with one atomic load.
-  std::atomic<std::int64_t> sleepers_{0};
+  // path checks the opposite side's sleeper count with one atomic RMW.
+  // Consumers and producers wait on separate condvars, so a notify_one can
+  // never wake the wrong kind of sleeper.
+  std::atomic<std::int64_t> pop_sleepers_{0};
+  std::atomic<std::int64_t> push_sleepers_{0};
   std::mutex wait_mutex_;
-  std::condition_variable wait_cv_;
+  std::condition_variable not_empty_;
+  std::condition_variable not_full_;
 };
 
 }  // namespace emutile

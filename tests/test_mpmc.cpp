@@ -1,12 +1,14 @@
 // MpmcQueue tests: bounded-capacity backpressure, exact delivery (no lost or
 // duplicated entries) under producer/consumer hammering, per-producer FIFO
-// order, and the blocking pop/push variants' stop semantics. The hammer
-// cases also run under the ThreadSanitizer CI lane (tsan preset), which is
-// what keeps the count/value CAS protocol honestly race-free.
+// order, the blocking pop/push variants' stop semantics, and their wakeups
+// (a two-queue ping-pong in which every hop puts a sleeper to sleep). The
+// hammer cases also run under the ThreadSanitizer CI lane (tsan preset),
+// which is what keeps the count/value CAS protocol honestly race-free.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -179,6 +181,34 @@ TEST(MpmcQueue, BlockedConsumerWakesOnPush) {
   consumer.join();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 123);
+}
+
+TEST(MpmcQueue, PingPongRoundTripsNeverWaitOutALostWakeup) {
+  // Every hop lands on a queue whose only consumer is asleep or about to
+  // be, so each of the 20k hops exercises the sleep/wake handshake. A lost
+  // notify stalls a hop for the whole 50 ms wait slice; the bound allows a
+  // slow sanitizer build, not a stall on a sizable share of the hops.
+  constexpr int kRoundTrips = 10'000;
+  MpmcQueue<int> ping(2);
+  MpmcQueue<int> pong(2);
+  std::atomic<bool> stop{false};
+  std::thread echo([&] {
+    while (std::optional<int> v = ping.pop_wait(stop))
+      if (!pong.push_wait(*v + 1, stop)) return;
+  });
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kRoundTrips; ++i) {
+    ASSERT_TRUE(ping.push_wait(2 * i, stop));
+    const std::optional<int> back = pong.pop_wait(stop);
+    ASSERT_TRUE(back.has_value());
+    ASSERT_EQ(*back, 2 * i + 1);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  stop.store(true);
+  ping.notify_all();
+  pong.notify_all();
+  echo.join();
+  EXPECT_LT(elapsed, std::chrono::seconds(20));
 }
 
 }  // namespace
