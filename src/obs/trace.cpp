@@ -125,12 +125,16 @@ void Tracer::record_span(std::string_view name, TraceContext ctx,
   raw.tid = thread_index();
   Stripe& stripe = stripe_here();
   std::lock_guard<std::mutex> lock(stripe.mutex);
-  if (stripe.finished.size() < kRingCapacity) {
-    stripe.finished.push_back(raw);
+  stripe.push(raw);
+}
+
+void Tracer::Stripe::push(const RawSpan& raw) {
+  if (finished.size() < kRingCapacity) {
+    finished.push_back(raw);
   } else {
-    stripe.finished[stripe.cursor] = raw;
-    stripe.cursor = (stripe.cursor + 1) % kRingCapacity;
-    ++stripe.dropped;
+    finished[cursor] = raw;
+    cursor = (cursor + 1) % kRingCapacity;
+    ++dropped;
   }
 }
 
@@ -184,72 +188,77 @@ void Tracer::finish() {
     raw.dur_us = now >= it->start_us ? now - it->start_us : 0;
     raw.tid = it->tid;
     stripe.open.erase(std::next(it).base());
-    if (stripe.finished.size() < kRingCapacity) {
-      stripe.finished.push_back(raw);
-    } else {
-      stripe.finished[stripe.cursor] = raw;
-      stripe.cursor = (stripe.cursor + 1) % kRingCapacity;
-      ++stripe.dropped;
-    }
+    stripe.push(raw);
     return;
   }
   // reset() raced the span away; nothing left to record.
 }
 
 std::vector<TraceSpan> Tracer::collect(bool include_open) const {
-  std::vector<TraceSpan> out;
+  return collect_where(include_open, std::nullopt);
+}
+
+std::vector<TraceSpan> Tracer::collect_trace(std::uint64_t trace_id,
+                                             bool include_open) const {
+  return collect_where(include_open, trace_id);
+}
+
+std::vector<TraceSpan> Tracer::collect_where(
+    bool include_open, std::optional<std::uint64_t> trace_id) const {
+  // Filter while scanning, then sort and name only what matched: a
+  // per-campaign export pays one id compare per buffered span, not a name
+  // copy and a sort of every span the stripes hold.
+  struct Found {
+    RawSpan raw;
+    bool open = false;
+  };
+  std::vector<Found> found;
+  const std::uint64_t now = journal_now_us();
+  for (const Stripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> lock(stripe.mutex);
+    for (const RawSpan& raw : stripe.finished)
+      if (!trace_id || raw.trace_id == *trace_id)
+        found.push_back({raw, false});
+    if (!include_open) continue;
+    for (const OpenSpan& open : stripe.open) {
+      if (trace_id && open.trace_id != *trace_id) continue;
+      RawSpan raw;
+      raw.name = open.name;
+      raw.trace_id = open.trace_id;
+      raw.span_id = open.span_id;
+      raw.parent_id = open.parent_id;
+      raw.start_us = open.start_us;
+      raw.dur_us = now >= open.start_us ? now - open.start_us : 0;
+      raw.tid = open.tid;
+      found.push_back({raw, true});
+    }
+  }
+  std::sort(found.begin(), found.end(), [](const Found& a, const Found& b) {
+    return a.raw.start_us != b.raw.start_us ? a.raw.start_us < b.raw.start_us
+                                            : a.raw.span_id < b.raw.span_id;
+  });
+  // Copied after the scan, so every found span's name is already interned;
+  // a dozen-odd strings, and intern() is not blocked while names resolve.
   std::vector<std::string> names;
   {
     std::lock_guard<std::mutex> lock(names_mutex_);
     names = names_;
   }
-  const auto resolve = [&names](std::uint32_t id) {
-    return id < names.size() ? names[id] : std::string("?");
-  };
-  const std::uint64_t now = journal_now_us();
-  for (const Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mutex);
-    for (const RawSpan& raw : stripe.finished) {
-      TraceSpan span;
-      span.name = resolve(raw.name);
-      span.trace_id = raw.trace_id;
-      span.span_id = raw.span_id;
-      span.parent_id = raw.parent_id;
-      span.start_us = raw.start_us;
-      span.dur_us = raw.dur_us;
-      span.pid = pid_;
-      span.tid = raw.tid;
-      out.push_back(std::move(span));
-    }
-    if (!include_open) continue;
-    for (const OpenSpan& open : stripe.open) {
-      TraceSpan span;
-      span.name = resolve(open.name);
-      span.trace_id = open.trace_id;
-      span.span_id = open.span_id;
-      span.parent_id = open.parent_id;
-      span.start_us = open.start_us;
-      span.dur_us = now >= open.start_us ? now - open.start_us : 0;
-      span.pid = pid_;
-      span.tid = open.tid;
-      span.open = true;
-      out.push_back(std::move(span));
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const TraceSpan& a, const TraceSpan& b) {
-              return a.start_us != b.start_us ? a.start_us < b.start_us
-                                              : a.span_id < b.span_id;
-            });
-  return out;
-}
-
-std::vector<TraceSpan> Tracer::collect_trace(std::uint64_t trace_id,
-                                             bool include_open) const {
-  std::vector<TraceSpan> all = collect(include_open);
   std::vector<TraceSpan> out;
-  for (TraceSpan& span : all)
-    if (span.trace_id == trace_id) out.push_back(std::move(span));
+  out.reserve(found.size());
+  for (const Found& f : found) {
+    TraceSpan span;
+    span.name = f.raw.name < names.size() ? names[f.raw.name] : "?";
+    span.trace_id = f.raw.trace_id;
+    span.span_id = f.raw.span_id;
+    span.parent_id = f.raw.parent_id;
+    span.start_us = f.raw.start_us;
+    span.dur_us = f.raw.dur_us;
+    span.pid = pid_;
+    span.tid = f.raw.tid;
+    span.open = f.open;
+    out.push_back(std::move(span));
+  }
   return out;
 }
 

@@ -150,11 +150,18 @@ class Tracer {
     std::size_t cursor = 0;
     std::uint64_t dropped = 0;
     std::vector<OpenSpan> open;
+
+    /// Append to the ring, overwriting the oldest entry once full. Caller
+    /// holds `mutex`.
+    void push(const RawSpan& raw);
   };
 
   [[nodiscard]] std::uint64_t fresh_id();
   [[nodiscard]] std::uint32_t intern(std::string_view name);
   [[nodiscard]] Stripe& stripe_here();
+  /// collect() of every span, or of one trace's spans only.
+  [[nodiscard]] std::vector<TraceSpan> collect_where(
+      bool include_open, std::optional<std::uint64_t> trace_id) const;
 
   /// begin/finish back ScopedSpan: push a TLS frame + an open-span entry,
   /// later pop it and append the finished record.

@@ -1,5 +1,6 @@
 // Trace-layer tests: traceparent wire form, TLS span nesting and
-// cross-thread handoff, synthesized spans, the wire-text round-trip and its
+// cross-thread handoff, synthesized spans, collect_trace matching a filtered
+// collect() across stripes, the wire-text round-trip and its
 // rejection of malformed input, Chrome trace-event JSON, the bounded span
 // ring, span algebra (shift/dedup), a concurrent recording hammer (the TSan
 // preset runs this binary), and the determinism contract: report artifacts
@@ -8,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <latch>
 #include <set>
 #include <string>
 #include <thread>
@@ -156,6 +159,65 @@ TEST(Tracer, CollectTraceFiltersByTraceId) {
   const std::vector<TraceSpan> only_a = tracer.collect_trace(a.trace_id);
   ASSERT_EQ(only_a.size(), 1u);
   EXPECT_EQ(only_a[0].name, "a.work");
+}
+
+TEST(Tracer, CollectTraceEqualsCollectFilteredToTheTrace) {
+  // Six recording threads fill six stripes with spans from three
+  // interleaved traces — start stamps collide across traces so the span-id
+  // tie-break matters — and each keeps one span open while the main thread
+  // collects. collect_trace must return exactly collect()'s spans of that
+  // trace, in collect()'s order.
+  Tracer tracer;
+  const std::array<TraceContext, 3> traces = {
+      tracer.mint_trace(), tracer.mint_trace(), tracer.mint_trace()};
+  constexpr int kThreads = 6;
+  std::latch recorded(kThreads);
+  std::latch collected(1);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int k = 0; k < 60; ++k) {
+        const TraceContext trace = traces[static_cast<std::size_t>(k % 3)];
+        tracer.record_span("step." + std::to_string(k % 7),
+                           tracer.child_context(trace), trace.span_id,
+                           static_cast<std::uint64_t>(100 + 10 * (k / 3)),
+                           static_cast<std::uint64_t>(1 + t));
+      }
+      const ScopedSpan open(tracer, "open." + std::to_string(t),
+                            traces[static_cast<std::size_t>(t % 3)]);
+      recorded.count_down();
+      collected.wait();
+    });
+  recorded.wait();
+  for (const bool include_open : {false, true}) {
+    const std::vector<TraceSpan> all = tracer.collect(include_open);
+    ASSERT_EQ(all.size(), kThreads * 60u + (include_open ? kThreads : 0u));
+    for (const TraceContext& trace : traces) {
+      std::vector<TraceSpan> expected;
+      for (const TraceSpan& span : all)
+        if (span.trace_id == trace.trace_id) expected.push_back(span);
+      const std::vector<TraceSpan> got =
+          tracer.collect_trace(trace.trace_id, include_open);
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE("span " + std::to_string(i));
+        EXPECT_EQ(got[i].name, expected[i].name);
+        EXPECT_EQ(got[i].trace_id, expected[i].trace_id);
+        EXPECT_EQ(got[i].span_id, expected[i].span_id);
+        EXPECT_EQ(got[i].parent_id, expected[i].parent_id);
+        EXPECT_EQ(got[i].start_us, expected[i].start_us);
+        EXPECT_EQ(got[i].pid, expected[i].pid);
+        EXPECT_EQ(got[i].tid, expected[i].tid);
+        EXPECT_EQ(got[i].open, expected[i].open);
+        // An open span's duration runs to the collect call's own clock.
+        if (!got[i].open) {
+          EXPECT_EQ(got[i].dur_us, expected[i].dur_us);
+        }
+      }
+    }
+  }
+  collected.count_down();
+  for (std::thread& t : threads) t.join();
 }
 
 TEST(Tracer, OpenSpansAreVisibleAndFilterable) {
