@@ -44,10 +44,6 @@ constexpr int kPersistentIdleTimeoutMs = 4 * kRequestReadTimeoutMs;
 /// a worker — neither drops a request.
 constexpr std::size_t kQueueCapacity = 4096;
 
-/// Parked-WAIT re-poll cadence in the reactor (matches the legacy WAIT
-/// handler's 100 ms wait_for slices).
-constexpr auto kWaitRetryInterval = std::chrono::milliseconds(100);
-
 /// Commands get their own endpoint.requests.<CMD>/endpoint.request_us.<CMD>
 /// series; anything unrecognized (including garbage) is folded into one
 /// "OTHER" pair so a misbehaving client cannot mint unbounded metric names.
@@ -113,7 +109,6 @@ struct ServiceEndpoint::Conn {
   std::string response;
   std::size_t write_off = 0;
   std::chrono::steady_clock::time_point read_deadline{};
-  std::chrono::steady_clock::time_point retry_at{};
   /// Set by the worker before the done-ring hand-back: true when a WAIT
   /// must park instead of completing.
   bool parked = false;
@@ -187,6 +182,17 @@ ServiceEndpoint::ServiceEndpoint(SessionService& service,
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
   exec_queue_ = std::make_unique<MpmcQueue<Conn*>>(kQueueCapacity);
   done_queue_ = std::make_unique<MpmcQueue<Conn*>>(kQueueCapacity);
+  // A campaign turning terminal is what wakes the WAITs parked on it. The
+  // listener runs under the service mutex: it only records the id and
+  // nudges the reactor, which re-queues the matching conns itself.
+  service_.set_terminal_listener([this](const std::string& id) {
+    {
+      std::lock_guard<std::mutex> lock(terminal_mutex_);
+      terminal_ids_.push_back(id);
+    }
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
+  });
   const std::size_t workers = std::max<std::size_t>(1, options_.workers);
   worker_threads_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i)
@@ -195,6 +201,10 @@ ServiceEndpoint::ServiceEndpoint(SessionService& service,
 }
 
 ServiceEndpoint::~ServiceEndpoint() {
+  // Detach first: once this returns the service never calls back into this
+  // endpoint, however long its campaigns outlive it.
+  if (options_.mode == EndpointMode::kReactor)
+    service_.set_terminal_listener(nullptr);
   stopping_.store(true);
   if (options_.mode == EndpointMode::kReactor) {
     // Nudge the reactor so it sees the stop flag immediately, then let it
@@ -307,8 +317,8 @@ void ServiceEndpoint::reactor_loop() {
       return;
     }
     reactor_flush_exec_overflow();
-    // A fixed 100 ms tick bounds how stale read deadlines and parked-WAIT
-    // retries can get; actual IO and completions wake the loop immediately.
+    // A fixed 100 ms tick bounds how stale read deadlines can get; IO,
+    // completions and terminal campaigns wake the loop immediately.
     const int n = ::epoll_wait(epoll_fd_, events.data(),
                                static_cast<int>(events.size()), 100);
     if (n < 0 && errno != EINTR) {
@@ -335,7 +345,8 @@ void ServiceEndpoint::reactor_loop() {
       }
     }
     reactor_drain_done();
-    reactor_expire_and_retry();
+    reactor_wake_parked();
+    reactor_expire_readers();
   }
 }
 
@@ -460,9 +471,7 @@ void ServiceEndpoint::reactor_drain_done() {
   while (std::optional<Conn*> done = done_queue_->try_pop()) {
     Conn& conn = **done;
     if (conn.parked && !stopping_.load()) {
-      conn.state = Conn::St::kParked;
-      conn.retry_at = std::chrono::steady_clock::now() + kWaitRetryInterval;
-      parked_.push_back(&conn);
+      reactor_park(conn);
     } else if (conn.parked) {
       // Stopping: a parked WAIT cannot be satisfied anymore.
       conn.parked = false;
@@ -471,6 +480,42 @@ void ServiceEndpoint::reactor_drain_done() {
     } else {
       reactor_finish(conn);
     }
+  }
+}
+
+void ServiceEndpoint::reactor_park(Conn& conn) {
+  // The campaign may have turned terminal after the worker's probe, and
+  // reactor_wake_parked may already have consumed that notification with
+  // nobody parked on the id. Re-probe: a transition after this probe is
+  // still queued for reactor_wake_parked, which runs after the conn is
+  // indexed below.
+  bool terminal = true;  // an unknown id re-executes into its ERR
+  try {
+    terminal = service_.wait_for(conn.wait_id, std::chrono::milliseconds(0));
+  } catch (const std::exception&) {
+  }
+  if (terminal) {
+    reactor_queue_exec(conn);
+    return;
+  }
+  conn.state = Conn::St::kParked;
+  parked_[conn.wait_id].push_back(&conn);
+}
+
+void ServiceEndpoint::reactor_wake_parked() {
+  std::vector<std::string> ids;
+  {
+    std::lock_guard<std::mutex> lock(terminal_mutex_);
+    ids.swap(terminal_ids_);
+  }
+  for (const std::string& id : ids) {
+    const auto it = parked_.find(id);
+    if (it == parked_.end()) continue;
+    for (Conn* conn : it->second) {
+      conn->state = Conn::St::kExecuting;
+      reactor_queue_exec(*conn);
+    }
+    parked_.erase(it);
   }
 }
 
@@ -524,20 +569,8 @@ void ServiceEndpoint::reactor_close(Conn& conn) {
   conns_.erase(conn.fd);  // frees the Conn
 }
 
-void ServiceEndpoint::reactor_expire_and_retry() {
+void ServiceEndpoint::reactor_expire_readers() {
   const auto now = std::chrono::steady_clock::now();
-  // Re-poll parked WAITs whose interval elapsed.
-  for (std::size_t i = 0; i < parked_.size();) {
-    Conn& conn = *parked_[i];
-    if (conn.retry_at <= now || stopping_.load()) {
-      parked_[i] = parked_.back();
-      parked_.pop_back();
-      conn.state = Conn::St::kExecuting;
-      reactor_queue_exec(conn);
-    } else {
-      ++i;
-    }
-  }
   // Expire readers that never delivered a complete request. Collect first:
   // finishing may close (and erase) the conn.
   std::vector<Conn*> expired;
@@ -583,11 +616,13 @@ void ServiceEndpoint::reactor_shutdown_drain() {
     reactor_finish(*conn);
   }
   // Parked WAITs get a terminal answer.
-  std::vector<Conn*> parked;
+  std::unordered_map<std::string, std::vector<Conn*>> parked;
   parked.swap(parked_);
-  for (Conn* conn : parked) {
-    conn->response = "ERR service shutting down\n";
-    reactor_finish(*conn);
+  for (const auto& [id, waiters] : parked) {
+    for (Conn* conn : waiters) {
+      conn->response = "ERR service shutting down\n";
+      reactor_finish(*conn);
+    }
   }
   // Drain: every queued/running execution finishes (WAITs observe the stop
   // flag and answer immediately, every other handler is bounded), then the
@@ -664,7 +699,7 @@ bool ServiceEndpoint::execute(Conn& conn) {
     } else {
       try {
         if (!service_.wait_for(conn.wait_id, std::chrono::milliseconds(0))) {
-          if (!stopping_.load()) return false;  // park: reactor re-polls
+          if (!stopping_.load()) return false;  // park until terminal
           conn.response = "ERR service shutting down\n";
         } else {
           const std::optional<CampaignStatus> s =

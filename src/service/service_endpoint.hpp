@@ -95,13 +95,15 @@
 ///                       small worker pool executing complete requests
 ///                       (handed over through lock-free MPMC rings, woken by
 ///                       an eventfd). Blocking WAITs never pin a worker:
-///                       they "park" in the reactor and are re-polled on a
-///                       ~100 ms cadence, so thousands of simultaneous
-///                       clients (waiters included) fit in a handful of
-///                       threads. On stop the reactor drains: in-flight
-///                       executions finish and flush, readers and parked
-///                       waiters get a terminal ERR, and every fd the
-///                       endpoint ever owned is provably closed.
+///                       they "park" in the reactor, indexed by campaign id,
+///                       and the service's terminal listener wakes exactly
+///                       the waiters of a campaign the moment it turns
+///                       terminal, so thousands of simultaneous clients
+///                       (waiters included) fit in a handful of threads. On
+///                       stop the reactor drains: in-flight executions
+///                       finish and flush, readers and parked waiters get a
+///                       terminal ERR, and every fd the endpoint ever owned
+///                       is provably closed.
 ///
 ///   kThreadPerConnection  The original accept-thread + thread-per-connection
 ///                       server. Kept as the A/B baseline for the
@@ -164,7 +166,9 @@ class ServiceEndpoint {
  public:
   /// Bind and listen on `socket_path` (an existing stale socket file is
   /// replaced) — plus `options.tcp` when set — and start serving. Throws
-  /// CheckError on bind failures.
+  /// CheckError on bind failures. A reactor endpoint installs `service`'s
+  /// one terminal listener, so a service serves one reactor endpoint at a
+  /// time.
   ServiceEndpoint(SessionService& service, std::filesystem::path socket_path,
                   EndpointOptions options = {});
 
@@ -222,7 +226,7 @@ class ServiceEndpoint {
   void worker_loop();
   /// Execute a complete request on a worker. Returns true when the
   /// connection produced a response (kWriting next), false when a WAIT
-  /// parked (the reactor re-queues it on a ~100 ms cadence).
+  /// parked (the reactor re-queues it once its campaign turns terminal).
   [[nodiscard]] bool execute(Conn& conn);
   void reactor_accept(int listen_fd);
   void reactor_readable(Conn& conn);
@@ -235,9 +239,15 @@ class ServiceEndpoint {
   /// Queue the next buffered line of a persistent connection, if complete.
   void reactor_persistent_dispatch(Conn& conn);
   void reactor_drain_done();
+  /// Park a WAIT under its campaign id, or re-queue it at once when the
+  /// campaign turned terminal before it was parked.
+  void reactor_park(Conn& conn);
+  /// Re-queue every WAIT parked on a campaign the listener reported
+  /// terminal.
+  void reactor_wake_parked();
   void reactor_queue_exec(Conn& conn);
   void reactor_flush_exec_overflow();
-  void reactor_expire_and_retry();
+  void reactor_expire_readers();
   void reactor_shutdown_drain();
 
   SessionService& service_;
@@ -262,7 +272,7 @@ class ServiceEndpoint {
   // Reactor mode. The reactor thread owns epoll_fd_, wake_fd_, the listen
   // fds, and every connection fd; workers never see an fd.
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  ///< eventfd: workers nudge the reactor
+  int wake_fd_ = -1;  ///< eventfd: workers and the listener nudge it
   std::thread reactor_thread_;
   std::vector<std::thread> worker_threads_;
   std::atomic<bool> workers_stop_{false};
@@ -270,7 +280,12 @@ class ServiceEndpoint {
   std::unique_ptr<MpmcQueue<Conn*>> done_queue_;  ///< workers -> reactor
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;  ///< by fd
   std::deque<Conn*> exec_overflow_;  ///< exec ring full: retry next tick
-  std::vector<Conn*> parked_;        ///< WAITs awaiting their next poll
+  /// WAITs whose campaign is not yet terminal, by campaign id.
+  std::unordered_map<std::string, std::vector<Conn*>> parked_;
+  /// Campaigns the service reported terminal since the reactor last looked
+  /// (written by the terminal listener, drained by reactor_wake_parked).
+  std::mutex terminal_mutex_;
+  std::vector<std::string> terminal_ids_;
 };
 
 /// Client side of the protocol: dial `address` (kUnix or kTcp), send

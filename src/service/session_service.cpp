@@ -33,6 +33,12 @@ const char* to_string(CampaignState state) {
 
 namespace {
 
+bool terminal(CampaignState state) {
+  return state == CampaignState::kFinished ||
+         state == CampaignState::kCancelled ||
+         state == CampaignState::kFailed;
+}
+
 /// Slots in the lock-free intake ring between submit() and the dispatcher
 /// thread. Occupancy is bounded by active campaigns, so a ring at least
 /// max_pending deep never backpressures an admitted submit(); unbounded
@@ -354,6 +360,15 @@ void SessionService::set_state_locked(Campaign& c, CampaignState next) {
   else if (next == CampaignState::kRunning)
     ++running_campaigns_;
   c.state = next;
+  // Called under mutex_ so that set_terminal_listener(nullptr) is a
+  // synchronous detach: no call can still be running once it returns.
+  if (terminal(next) && terminal_listener_) terminal_listener_(c.id);
+}
+
+void SessionService::set_terminal_listener(
+    std::function<void(const std::string&)> listener) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  terminal_listener_ = std::move(listener);
 }
 
 SessionService::Campaign* SessionService::find_locked(
@@ -897,14 +912,6 @@ bool SessionService::cancel(const std::string& id) {
   if (c->stream != 0) scheduler_->cancel(c->stream);
   return true;
 }
-
-namespace {
-bool terminal(CampaignState state) {
-  return state == CampaignState::kFinished ||
-         state == CampaignState::kCancelled ||
-         state == CampaignState::kFailed;
-}
-}  // namespace
 
 void SessionService::wait(const std::string& id) {
   std::unique_lock<std::mutex> lock(mutex_);

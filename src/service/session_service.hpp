@@ -38,6 +38,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -217,6 +218,15 @@ class SessionService {
   [[nodiscard]] bool wait_for(const std::string& id,
                               std::chrono::milliseconds timeout);
 
+  /// Called with a campaign's id each time it turns terminal (finished,
+  /// cancelled or failed). One listener at most: setting one replaces the
+  /// previous, nullptr detaches it, and once this returns the old listener
+  /// is never called again. The listener runs under the service mutex, so it
+  /// must be cheap and must not call back into the service. The reactor
+  /// endpoint uses it to wake the WAITs it parked on that campaign.
+  void set_terminal_listener(
+      std::function<void(const std::string&)> listener);
+
   /// Block until every submitted campaign reaches a terminal state.
   void drain();
 
@@ -264,7 +274,8 @@ class SessionService {
   /// kFailed (terminal) — asynchronous submitters see it via status/wait.
   void dispatch_campaign(Campaign& c);
   /// Transition a campaign's state, keeping the O(1) queued/running
-  /// counters truthful. Caller holds mutex_.
+  /// counters truthful and telling the terminal listener when the campaign
+  /// turns terminal. Caller holds mutex_.
   void set_state_locked(Campaign& c, CampaignState next);
   [[nodiscard]] Campaign* find_locked(const std::string& id) const;
   void schedule(Campaign& c);
@@ -302,6 +313,7 @@ class SessionService {
 
   mutable std::mutex mutex_;  // campaign registry + per-campaign state
   std::condition_variable state_changed_;
+  std::function<void(const std::string&)> terminal_listener_;  // mutex_
   std::vector<std::unique_ptr<Campaign>> campaigns_;  // submission order
   /// id -> campaign, so status/wait/cancel stay O(1) when thousands of
   /// campaigns have passed through (entries live as long as campaigns_).

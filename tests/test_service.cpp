@@ -56,9 +56,10 @@ std::string read_file(const fs::path& p) {
 }
 
 /// A small single-design catalog campaign in wire format: 2 error kinds x
-/// 3 replicas = 6 sessions.
+/// `replicas` replicas (6 sessions by default).
 std::string small_spec_text(const std::string& design,
-                            std::uint64_t master_seed) {
+                            std::uint64_t master_seed,
+                            std::size_t replicas = 3) {
   std::ostringstream os;
   os << "# test campaign\n"
      << "emutile-campaign v1\n"
@@ -66,7 +67,7 @@ std::string small_spec_text(const std::string& design,
      << "error_kind wrong-polarity\n"
      << "error_kind wrong-connection\n"
      << "tiling 6 0.3 1 12 4\n"
-     << "sessions_per_scenario 3\n"
+     << "sessions_per_scenario " << replicas << "\n"
      << "master_seed " << master_seed << "\n"
      << "num_patterns 96\n"
      << "end\n";
@@ -1021,6 +1022,130 @@ TEST(SessionService, ReactorServesManyConcurrentClientsAndParkedWaits) {
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(wait_ok.load(), 24);
   EXPECT_EQ(ping_ok.load(), 24 * 8);
+}
+
+/// Spin until `done()` holds; fails the test after 10 s.
+template <typename Pred>
+void wait_until(Pred done) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "condition never held";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// A WAIT sent on its own thread: the reply (or the client's error) and the
+/// instant it arrived.
+struct AsyncWait {
+  std::string reply;
+  std::chrono::steady_clock::time_point replied{};
+  std::thread client;
+
+  AsyncWait(const fs::path& socket, const std::string& id) {
+    client = std::thread([this, socket, id] {
+      try {
+        reply = endpoint_request(socket, "WAIT " + id + "\n", 10'000);
+      } catch (const std::exception& e) {
+        reply = std::string("client error: ") + e.what();
+      }
+      replied = std::chrono::steady_clock::now();
+    });
+  }
+  ~AsyncWait() {
+    if (client.joinable()) client.join();
+  }
+  AsyncWait(const AsyncWait&) = delete;
+  AsyncWait& operator=(const AsyncWait&) = delete;
+};
+
+TEST(SessionService, ReactorWaitNeverLosesATerminalNotification) {
+  // Cached resubmits finish within milliseconds, so most WAITs race the
+  // terminal transition: some probe it already terminal, others park just
+  // before or after the notification. Nothing re-polls a parked WAIT, so a
+  // lost notification would hang its client until the 10 s timeout.
+  ScratchDir scratch("service-wait-race");
+  ServiceConfig config;
+  config.root = scratch.path;
+  config.num_threads = 2;
+  config.snapshot_every = 0;
+  SessionService service(config);
+  ServiceEndpoint endpoint(service, scratch.path / "serviced.sock");
+  const std::string submit = "SUBMIT 0 again\n" + small_spec_text("9sym", 53);
+  for (int i = 0; i < 200; ++i) {
+    const std::string submitted =
+        endpoint_request(endpoint.socket_path(), submit, 10'000);
+    ASSERT_EQ(submitted.rfind("OK again-", 0), 0u) << submitted;
+    const std::string id = submitted.substr(3, submitted.find('\n') - 3);
+    EXPECT_EQ(
+        endpoint_request(endpoint.socket_path(), "WAIT " + id + "\n", 10'000),
+        "OK finished\n")
+        << "campaign " << i;
+  }
+  ASSERT_NE(service.cache(), nullptr);
+  EXPECT_GT(service.cache()->hits(), 0u);
+}
+
+TEST(SessionService, ReactorWaitRepliesOnTheTerminalTransition) {
+  // A parked WAIT is answered as soon as its campaign turns terminal, not
+  // on some later tick. Each campaign is far too long to finish by itself;
+  // the test parks a WAIT on it, cancels it, and measures from the moment
+  // the in-process wait() returns to the moment the WAIT reply arrives.
+  ScratchDir scratch("service-wait-prompt");
+  ServiceConfig config;
+  config.root = scratch.path;
+  config.num_threads = 2;
+  config.snapshot_every = 0;
+  SessionService service(config);
+  ServiceEndpoint endpoint(service, scratch.path / "serviced.sock");
+  const MetricCounter& waits =
+      MetricsRegistry::global().counter("endpoint.requests.WAIT");
+  std::vector<double> gaps_ms;
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    const std::string id =
+        service.submit_text(small_spec_text("9sym", 500 + i, 50), 0, "prompt");
+    const std::uint64_t before = waits.value();
+    AsyncWait wait(endpoint.socket_path(), id);
+    wait_until([&] { return waits.value() > before; });  // parked
+    ASSERT_TRUE(service.cancel(id));
+    service.wait(id);
+    const auto terminal = std::chrono::steady_clock::now();
+    wait.client.join();
+    EXPECT_EQ(wait.reply, "OK cancelled\n");
+    gaps_ms.push_back(std::chrono::duration<double, std::milli>(
+                          wait.replied - terminal)
+                          .count());
+  }
+  std::sort(gaps_ms.begin(), gaps_ms.end());
+  EXPECT_LT(gaps_ms[gaps_ms.size() / 2], 50.0)
+      << "median terminal-to-reply gap";
+}
+
+TEST(SessionService, DestroyedEndpointAnswersParkedWaitsAndDetaches) {
+  ScratchDir scratch("service-wait-detach");
+  ServiceConfig config;
+  config.root = scratch.path;
+  config.num_threads = 2;
+  config.snapshot_every = 0;
+  SessionService service(config);
+  auto endpoint = std::make_unique<ServiceEndpoint>(
+      service, scratch.path / "serviced.sock");
+  const MetricCounter& waits =
+      MetricsRegistry::global().counter("endpoint.requests.WAIT");
+  const std::string id =
+      service.submit_text(small_spec_text("9sym", 61, 50), 0, "orphaned");
+  const std::uint64_t before = waits.value();
+  AsyncWait wait(endpoint->socket_path(), id);
+  wait_until([&] { return waits.value() > before; });  // parked
+  endpoint.reset();
+  wait.client.join();
+  EXPECT_EQ(wait.reply, "ERR service shutting down\n");
+  // The campaign turns terminal with its endpoint gone: the service must
+  // not call back into it (the asan and tsan lanes run this test).
+  ASSERT_TRUE(service.cancel(id));
+  service.wait(id);
+  EXPECT_EQ(service.status(id)->state, CampaignState::kCancelled);
 }
 
 TEST(SessionService, EndpointLeaksNoFileDescriptorsInEitherMode) {
