@@ -39,11 +39,13 @@
 #   bench-smoke  build bench/campaign_sweep under the "ci" preset and run a
 #                tiny sweep (2 threads x 1 replica, determinism-checked);
 #                the per-scenario CSV lands in build/bench-smoke/ for the
-#                workflow to upload as an artifact. Ends with fleet_smoke: a
-#                real 3-daemon fleet on TCP loopback (ephemeral ports read
-#                back from each daemon's serviced.tcp file) driven through
-#                emutile_orchestrate, asserting the merged report and the
-#                stitched fleet trace.
+#                workflow to upload as an artifact. Ends with daemon_smoke
+#                (one daemon on its Unix socket, one spec submitted cold
+#                then warm with emutile_submit --wait: identical reports,
+#                cache hits) and fleet_smoke: a real 3-daemon fleet on TCP
+#                loopback (ephemeral ports read back from each daemon's
+#                serviced.tcp file) driven through emutile_orchestrate,
+#                asserting the merged report and the stitched fleet trace.
 #   perf         the perf-regression lane: run session_profile,
 #                campaign_sweep, and fleet_scale on the pinned small grids
 #                below, then compare their metrics JSON against the
@@ -144,7 +146,8 @@ durability() {
 bench_smoke() {
   cmake --preset ci
   cmake --build --preset ci --target bench_campaign_sweep \
-    bench_submit_storm emutile_serviced emutile_orchestrate emutile_top
+    bench_submit_storm emutile_serviced emutile_submit emutile_orchestrate \
+    emutile_top
   mkdir -p build/bench-smoke
   ./build/campaign_sweep 2 1 build/bench-smoke/campaign_sweep.csv \
     | tee build/bench-smoke/campaign_sweep.log
@@ -154,7 +157,71 @@ bench_smoke() {
   ./build/submit_storm --mode reactor --clients 64 --requests-per-client 4 \
     --json build/bench-smoke/submit_storm.json \
     | tee build/bench-smoke/submit_storm.log
+  daemon_smoke
   fleet_smoke
+}
+
+# The small campaign both smokes submit: 9sym, 2 error kinds x 3 replicas.
+write_smoke_spec() {
+  cat > "$1" <<'EOF'
+emutile-campaign v1
+design 9sym
+error_kind wrong-polarity
+error_kind wrong-connection
+tiling 6 0.3 1 12 4
+sessions_per_scenario 3
+master_seed 424242
+num_patterns 96
+end
+EOF
+}
+
+# One daemon on its Unix socket, one spec submitted twice through
+# emutile_submit --wait: cold, then warm from the result cache. Each WAIT
+# parks in the reactor until its campaign turns terminal, so this drives the
+# real binary's WAIT wake-up path. A functional check, not a timing gate:
+# both submissions must finish, the two reports must be byte-identical, and
+# the daemon's cache must report hits. `timeout` turns a WAIT that is never
+# answered into a failure instead of a hung job.
+daemon_smoke() {
+  local dir=build/bench-smoke/daemon
+  rm -rf "$dir"
+  mkdir -p "$dir"
+  ./build/emutile_serviced --root "$dir" --threads 2 --snapshot-every 0 \
+    --slow-request-ms 30000 > "$dir/daemon.log" 2>&1 &
+  local pid=$!
+  stop_daemon() {
+    touch "$dir/stop" 2>/dev/null || true
+    wait "$pid" 2>/dev/null || true
+  }
+  trap stop_daemon RETURN
+
+  local tries=0
+  until ./build/emutile_submit --root "$dir" --list > /dev/null 2>&1; do
+    (( ++tries > 100 )) && { echo "daemon_smoke: daemon never came up" >&2
+                             cat "$dir/daemon.log" >&2; return 1; }
+    sleep 0.1
+  done
+
+  write_smoke_spec "$dir/smoke.spec"
+  local run
+  local ids=()
+  for run in cold warm; do
+    timeout 300 ./build/emutile_submit --root "$dir" --wait "$dir/smoke.spec" \
+      | tee "$dir/$run.log"
+    grep -q ': OK finished$' "$dir/$run.log"
+    ids+=("$(sed -n 's/^.* -> \([^ ]*\).*$/\1/p' "$dir/$run.log")")
+  done
+  cmp "$dir/out/${ids[0]}/report.json" "$dir/out/${ids[1]}/report.json"
+  ./build/emutile_submit --root "$dir" --cache | tee "$dir/cache.log"
+  local hits
+  hits=$(sed -n 's/^OK .* hits=\([0-9]*\) .*$/\1/p' "$dir/cache.log")
+  [[ ${hits:-0} -gt 0 ]] || { echo "daemon_smoke: no cache hits" >&2
+                              return 1; }
+
+  stop_daemon
+  trap - RETURN
+  echo "daemon_smoke: cold and warm reports identical, cache hits=$hits"
 }
 
 # A real 3-instance fleet end to end, over TCP loopback: three daemons on
@@ -208,17 +275,7 @@ fleet_smoke() {
     echo "end"
   } > "$fleet_dir/fleet.cfg"
 
-  cat > "$fleet_dir/smoke.spec" <<'EOF'
-emutile-campaign v1
-design 9sym
-error_kind wrong-polarity
-error_kind wrong-connection
-tiling 6 0.3 1 12 4
-sessions_per_scenario 3
-master_seed 424242
-num_patterns 96
-end
-EOF
+  write_smoke_spec "$fleet_dir/smoke.spec"
 
   ./build/emutile_orchestrate --fleet "$fleet_dir/fleet.cfg" \
     --spec "$fleet_dir/smoke.spec" --out "$fleet_dir" --shards 3 \
