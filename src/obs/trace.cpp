@@ -75,6 +75,16 @@ std::optional<TraceContext> parse_traceparent(std::string_view text) {
   return TraceContext{*trace, *span};
 }
 
+std::string format_trace_id(std::uint64_t trace_id) {
+  return u64_hex(trace_id);
+}
+
+std::optional<std::uint64_t> parse_trace_id(std::string_view text) {
+  const auto id = parse_u64_hex(text);
+  if (!id || *id == 0) return std::nullopt;
+  return id;
+}
+
 Tracer::Tracer()
     : seed_(std::random_device{}()),
       pid_(static_cast<std::uint32_t>(::getpid())) {

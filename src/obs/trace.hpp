@@ -61,6 +61,11 @@ struct TraceContext {
 [[nodiscard]] std::string format_traceparent(TraceContext ctx);
 [[nodiscard]] std::optional<TraceContext> parse_traceparent(
     std::string_view text);
+/// A bare trace id in the same 16-hex-digit form (e.g. the TRACESPANS
+/// filter argument). parse returns nullopt on anything malformed or zero.
+[[nodiscard]] std::string format_trace_id(std::uint64_t trace_id);
+[[nodiscard]] std::optional<std::uint64_t> parse_trace_id(
+    std::string_view text);
 
 /// One finished (or snapshotted in-flight) span, name resolved.
 struct TraceSpan {

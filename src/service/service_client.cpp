@@ -35,6 +35,33 @@ std::string first_line(const std::string& response) {
   return eol == std::string::npos ? response : response.substr(0, eol);
 }
 
+/// Strip "OK " and the trailing newline off a single-line response; throw
+/// ServiceError describing `what` on an ERR or malformed reply, with the
+/// code mapped from the distinguished `ERR <code>` tokens.
+std::string expect_ok(const ServiceAddress& address,
+                      const std::string& response, const std::string& what) {
+  if (response.rfind("OK ", 0) != 0) {
+    ServiceErrorCode code = ServiceErrorCode::kProtocol;
+    const std::string line = first_line(response);
+    if (response.rfind("ERR draining", 0) == 0) {
+      code = ServiceErrorCode::kDraining;
+    } else if (response.rfind("ERR busy", 0) == 0) {
+      // Pre-v2 daemons fold the drain shed into `ERR busy ... draining ...`.
+      code = line.find("draining") != std::string::npos
+                 ? ServiceErrorCode::kDraining
+                 : ServiceErrorCode::kBusy;
+    } else if (response.rfind("ERR overdeadline", 0) == 0) {
+      code = ServiceErrorCode::kOverdeadline;
+    }
+    throw ServiceError(
+        code, what + " via " + address.to_string() + " refused: " +
+                  (response.empty() ? std::string("<empty response>") : line));
+  }
+  const std::size_t eol = response.find('\n');
+  return response.substr(3, eol == std::string::npos ? std::string::npos
+                                                     : eol - 3);
+}
+
 }  // namespace
 
 const char* to_string(ServiceErrorCode code) {
@@ -229,30 +256,6 @@ std::string ServiceClient::request(const std::string& request_text) const {
   }
 }
 
-std::string ServiceClient::expect_ok(const std::string& response,
-                                     const std::string& what) const {
-  if (response.rfind("OK ", 0) != 0) {
-    ServiceErrorCode code = ServiceErrorCode::kProtocol;
-    const std::string line = first_line(response);
-    if (response.rfind("ERR draining", 0) == 0) {
-      code = ServiceErrorCode::kDraining;
-    } else if (response.rfind("ERR busy", 0) == 0) {
-      // Pre-v2 daemons fold the drain shed into `ERR busy ... draining ...`.
-      code = line.find("draining") != std::string::npos
-                 ? ServiceErrorCode::kDraining
-                 : ServiceErrorCode::kBusy;
-    } else if (response.rfind("ERR overdeadline", 0) == 0) {
-      code = ServiceErrorCode::kOverdeadline;
-    }
-    throw ServiceError(
-        code, what + " via " + address_.to_string() + " refused: " +
-                  (response.empty() ? std::string("<empty response>") : line));
-  }
-  const std::size_t eol = response.find('\n');
-  return response.substr(3, eol == std::string::npos ? std::string::npos
-                                                     : eol - 3);
-}
-
 bool ServiceClient::ping() const noexcept {
   try {
     return request("PING\n") == "OK pong\n";
@@ -271,12 +274,12 @@ std::string ServiceClient::submit(const std::string& spec_text, int priority,
   if (!traceparent.empty()) os << " traceparent=" << traceparent;
   if (deadline_ms > 0) os << " deadline_ms=" << deadline_ms;
   os << "\n" << spec_text;
-  return expect_ok(request(os.str()), "SUBMIT");
+  return expect_ok(address_, request(os.str()), "SUBMIT");
 }
 
 RemoteCampaignStatus ServiceClient::status(const std::string& id) const {
-  const std::string line = expect_ok(request("STATUS " + id + "\n"),
-                                     "STATUS " + id);
+  const std::string line =
+      expect_ok(address_, request("STATUS " + id + "\n"), "STATUS " + id);
   // <id> <state> <done>/<total> hits=<n> misses=<n> snapshots=<n>
   std::istringstream in(line);
   RemoteCampaignStatus s;
@@ -316,32 +319,75 @@ RemoteCampaignStatus ServiceClient::status(const std::string& id) const {
 std::string ServiceClient::wait(const std::string& id, int timeout_ms) const {
   // WAIT takes its own (usually unbounded) timeout, so it bypasses the
   // persistent channel — a parked wait would wedge every other exchange.
-  std::string response;
+  return start_wait(id).read_reply(timeout_ms);
+}
+
+PendingWait ServiceClient::start_wait(const std::string& id) const {
+  int fd = -1;
   try {
-    response = endpoint_request(address_, "WAIT " + id + "\n", timeout_ms);
+    fd = dial_service_address(address_);
   } catch (const CheckError& e) {
     throw ServiceError(ServiceErrorCode::kIo, e.what());
   }
-  return expect_ok(response, "WAIT " + id);
+  PendingWait pending(fd, address_, id);
+  if (!fd_write_all(fd, "WAIT " + id + "\n"))
+    throw ServiceError(ServiceErrorCode::kIo,
+                       "WAIT " + id + " to " + address_.to_string() +
+                           " failed mid-flight");
+  ::shutdown(fd, SHUT_WR);  // half-close delimits the request
+  return pending;
+}
+
+PendingWait::PendingWait(PendingWait&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)),
+      address_(std::move(other.address_)),
+      id_(std::move(other.id_)) {}
+
+PendingWait& PendingWait::operator=(PendingWait&& other) noexcept {
+  if (this != &other) {
+    close();
+    fd_ = std::exchange(other.fd_, -1);
+    address_ = std::move(other.address_);
+    id_ = std::move(other.id_);
+  }
+  return *this;
+}
+
+void PendingWait::close() {
+  if (fd_ >= 0) ::close(std::exchange(fd_, -1));
+}
+
+std::string PendingWait::read_reply(int timeout_ms) {
+  EMUTILE_CHECK(fd_ >= 0, "WAIT " << id_ << " has no open connection");
+  std::string response;
+  const bool received = fd_read_all(fd_, response, timeout_ms);
+  close();
+  if (!received)
+    throw ServiceError(ServiceErrorCode::kIo,
+                       "WAIT " + id_ + " to " + address_.to_string() +
+                           " failed mid-flight" +
+                           (timeout_ms >= 0 ? " or timed out" : ""));
+  return expect_ok(address_, response, "WAIT " + id_);
 }
 
 void ServiceClient::cancel(const std::string& id) const {
-  static_cast<void>(expect_ok(request("CANCEL " + id + "\n"), "CANCEL " + id));
+  static_cast<void>(
+      expect_ok(address_, request("CANCEL " + id + "\n"), "CANCEL " + id));
 }
 
 void ServiceClient::drain() const {
-  static_cast<void>(expect_ok(request("DRAIN\n"), "DRAIN"));
+  static_cast<void>(expect_ok(address_, request("DRAIN\n"), "DRAIN"));
 }
 
 std::string ServiceClient::list() const {
   const std::string response = request("LIST\n");
-  static_cast<void>(expect_ok(response, "LIST"));
+  static_cast<void>(expect_ok(address_, response, "LIST"));
   return response;
 }
 
 std::string ServiceClient::fetch_shard_report(const std::string& id) const {
   const std::string response = request("SHARDREPORT " + id + "\n");
-  static_cast<void>(expect_ok(response, "SHARDREPORT " + id));
+  static_cast<void>(expect_ok(address_, response, "SHARDREPORT " + id));
   const std::size_t eol = response.find('\n');
   EMUTILE_CHECK(eol != std::string::npos && eol + 1 < response.size(),
                 "SHARDREPORT " << id << " from " << address_.to_string()
@@ -350,7 +396,7 @@ std::string ServiceClient::fetch_shard_report(const std::string& id) const {
 }
 
 RemoteCacheStats ServiceClient::cache_stats() const {
-  const std::string line = expect_ok(request("CACHE\n"), "CACHE");
+  const std::string line = expect_ok(address_, request("CACHE\n"), "CACHE");
   std::istringstream in(line);
   std::string entries, bytes, hits, misses, stores;
   EMUTILE_CHECK(in >> entries >> bytes >> hits >> misses >> stores,
@@ -368,14 +414,17 @@ RemoteCacheStats ServiceClient::cache_stats() const {
 std::string ServiceClient::fetch_metrics(bool json) const {
   const std::string response =
       request(json ? "METRICS json\n" : "METRICS\n");
-  static_cast<void>(expect_ok(response, "METRICS"));
+  static_cast<void>(expect_ok(address_, response, "METRICS"));
   const std::size_t eol = response.find('\n');
   return eol == std::string::npos ? std::string() : response.substr(eol + 1);
 }
 
-RemoteTraceSpans ServiceClient::fetch_trace_spans() const {
-  const std::string response = request("TRACESPANS\n");
-  const std::string line = expect_ok(response, "TRACESPANS");
+RemoteTraceSpans ServiceClient::fetch_trace_spans(
+    std::optional<std::uint64_t> trace_id) const {
+  const std::string response = request(
+      trace_id ? "TRACESPANS " + format_trace_id(*trace_id) + "\n"
+               : std::string("TRACESPANS\n"));
+  const std::string line = expect_ok(address_, response, "TRACESPANS");
   // `OK now_us=<n> spans=<n>` followed by the emutile-trace text body.
   std::istringstream in(line);
   std::string now_tok, count_tok;

@@ -35,6 +35,7 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -124,6 +125,43 @@ struct RemoteTraceSpans {
   std::uint64_t now_us = 0;
 };
 
+/// A WAIT in flight on its own one-shot connection: dialed, `WAIT <id>`
+/// written, write side half-closed. The daemon answers when the campaign
+/// turns terminal, so fd() turns readable exactly then — a caller can
+/// poll(2) many of these at once. Move-only; the socket closes on
+/// read_reply(), close(), or destruction, whichever comes first.
+class PendingWait {
+ public:
+  PendingWait() = default;
+  ~PendingWait() { close(); }
+  PendingWait(PendingWait&& other) noexcept;
+  PendingWait& operator=(PendingWait&& other) noexcept;
+  PendingWait(const PendingWait&) = delete;
+  PendingWait& operator=(const PendingWait&) = delete;
+
+  /// The socket to poll for POLLIN; -1 once closed (or never opened).
+  [[nodiscard]] int fd() const { return fd_; }
+  [[nodiscard]] bool open() const { return fd_ >= 0; }
+
+  /// Read the reply (blocking up to `timeout_ms`; negative blocks
+  /// indefinitely), close the socket, and return the terminal state
+  /// ("finished", "cancelled", "failed"). Throws ServiceError: kIo when the
+  /// read fails or times out, the mapped code when the daemon answered ERR
+  /// or closed without answering.
+  [[nodiscard]] std::string read_reply(int timeout_ms);
+
+  void close();
+
+ private:
+  friend class ServiceClient;
+  PendingWait(int fd, ServiceAddress address, std::string id)
+      : fd_(fd), address_(std::move(address)), id_(std::move(id)) {}
+
+  int fd_ = -1;
+  ServiceAddress address_;
+  std::string id_;
+};
+
 class ServiceClient {
  public:
   /// `timeout_ms` bounds every exchange except wait() (which has its own);
@@ -182,6 +220,13 @@ class ServiceClient {
   [[nodiscard]] std::string wait(const std::string& id,
                                  int timeout_ms = -1) const;
 
+  /// Send `WAIT <id>` on a fresh connection and return without reading the
+  /// reply — wait() split in two, so one thread can supervise many parked
+  /// WAITs. Never rides the persistent channel (a parked WAIT would wedge
+  /// every other exchange). Throws ServiceError{kIo} when the dial or the
+  /// write fails.
+  [[nodiscard]] PendingWait start_wait(const std::string& id) const;
+
   /// CANCEL a campaign. Throws ServiceError on unknown ids.
   void cancel(const std::string& id) const;
 
@@ -208,17 +253,14 @@ class ServiceClient {
   [[nodiscard]] std::string fetch_metrics(bool json = false) const;
 
   /// TRACESPANS: the instance's buffered trace spans (open ones included)
-  /// plus its reply-time clock. Throws ServiceError on refusal or a reply
-  /// that does not parse.
-  [[nodiscard]] RemoteTraceSpans fetch_trace_spans() const;
+  /// plus its reply-time clock. A `trace_id` asks for that trace's closed
+  /// spans only; a daemon that predates the filter ignores it and sends
+  /// everything, so callers that need one trace still filter the reply.
+  /// Throws ServiceError on refusal or a reply that does not parse.
+  [[nodiscard]] RemoteTraceSpans fetch_trace_spans(
+      std::optional<std::uint64_t> trace_id = std::nullopt) const;
 
  private:
-  /// Strip "OK " and the trailing newline off a single-line response; throw
-  /// ServiceError describing `what` on an ERR or malformed reply, with the
-  /// code mapped from the distinguished `ERR <code>` tokens.
-  [[nodiscard]] std::string expect_ok(const std::string& response,
-                                      const std::string& what) const;
-
   /// True when `request_text` should ride the persistent channel (enabled,
   /// wire address, single line, daemon advertises `persist`).
   [[nodiscard]] bool use_persistent(const std::string& request_text) const;

@@ -904,10 +904,21 @@ std::string ServiceEndpoint::handle_request(const std::string& request) {
       return "ERR METRICS takes no argument, 'text', or 'json'\n";
     return "OK text\n" + snap.to_text();
   } else if (command == "TRACESPANS") {
-    // Everything the tracer has buffered, open spans included (the console's
-    // "slowest open spans" view needs them; the coordinator's stitcher drops
-    // them). now_us lets the fetcher midpoint-correct for clock offset.
-    const std::vector<TraceSpan> spans = Tracer::global().collect(true);
+    // Bare: everything the tracer has buffered, open spans included (the
+    // console's "slowest open spans" view needs them). With a trace id: only
+    // that trace's closed spans — what the coordinator's stitcher keeps, at
+    // a cost set by the run rather than by the whole ring. now_us lets the
+    // fetcher midpoint-correct for clock offset.
+    std::string filter;
+    std::vector<TraceSpan> spans;
+    if (line >> filter) {
+      const std::optional<std::uint64_t> trace_id = parse_trace_id(filter);
+      if (!trace_id)
+        return "ERR TRACESPANS takes no argument or a 16-hex-digit trace id\n";
+      spans = Tracer::global().collect_trace(*trace_id, /*include_open=*/false);
+    } else {
+      spans = Tracer::global().collect(true);
+    }
     std::ostringstream os;
     os << "OK now_us=" << journal_now_us() << " spans=" << spans.size()
        << "\n"

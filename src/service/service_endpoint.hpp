@@ -60,13 +60,15 @@
 ///                                   index_stores=<n> index_entries=<n>
 ///                                   (result-cache stats since daemon start;
 ///                                   `ERR` when the cache is disabled)
-///   TRACESPANS                   -> OK now_us=<n> spans=<n>  (+ the
+///   TRACESPANS [<trace-hex16>]   -> OK now_us=<n> spans=<n>  (+ the
 ///                                   instance's buffered trace spans in the
-///                                   emutile-trace text format, open spans
-///                                   included; now_us is the instance's
-///                                   journal clock at reply time, which the
-///                                   coordinator's clock-offset stitching
-///                                   reads)
+///                                   emutile-trace text format; bare, every
+///                                   span with open ones included; with a
+///                                   trace id, only that trace's closed
+///                                   spans — what the coordinator stitches;
+///                                   now_us is the instance's journal clock
+///                                   at reply time, which the coordinator's
+///                                   clock-offset stitching reads)
 ///   DRAIN                        -> OK draining queued=<n> running=<n>
 ///                                   (stop admitting: later SUBMITs answer
 ///                                   `ERR draining ...`; in-flight campaigns

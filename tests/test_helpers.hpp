@@ -3,15 +3,18 @@
 /// used across the test suite, the fingerprints that pin placements and
 /// route trees in golden tests, the field-by-field campaign-report differ
 /// the durability and orchestrator suites use to explain byte-inequality
-/// failures, and the per-test scratch directory of the service suites.
+/// failures, and the per-test scratch directory and fd count of the service
+/// suites.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/tiled_design.hpp"
@@ -40,6 +43,22 @@ struct ScratchDir {
     std::filesystem::remove_all(path, ec);
   }
 };
+
+/// Open file descriptors of this process whose /proc/self/fd link starts
+/// with `kind` ("socket:" counts sockets only; empty counts every fd) — the
+/// leak check of the socket suites, client and in-process daemon sockets
+/// alike.
+inline std::size_t open_fd_count(std::string_view kind = "") {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const std::string target =
+        std::filesystem::read_symlink(entry.path(), ec).string();
+    if (target.rfind(kind, 0) == 0) ++n;
+  }
+  return n;
+}
 
 /// 4-bit combinational adder: 9 PIs (a0..3, b0..3, cin), 5 POs.
 inline Netlist make_adder4() {

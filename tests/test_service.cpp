@@ -1149,13 +1149,7 @@ TEST(SessionService, DestroyedEndpointAnswersParkedWaitsAndDetaches) {
 }
 
 TEST(SessionService, EndpointLeaksNoFileDescriptorsInEitherMode) {
-  const auto open_fds = [] {
-    std::size_t n = 0;
-    for ([[maybe_unused]] const auto& entry :
-         fs::directory_iterator("/proc/self/fd"))
-      ++n;
-    return n;
-  };
+  using test::open_fd_count;
   for (const EndpointMode mode :
        {EndpointMode::kReactor, EndpointMode::kThreadPerConnection}) {
     ScratchDir scratch(mode == EndpointMode::kReactor ? "service-fd-reactor"
@@ -1165,7 +1159,7 @@ TEST(SessionService, EndpointLeaksNoFileDescriptorsInEitherMode) {
     config.num_threads = 1;
     config.snapshot_every = 0;
     SessionService service(config);
-    const std::size_t before = open_fds();
+    const std::size_t before = open_fd_count();
     {
       EndpointOptions options;
       options.mode = mode;
@@ -1180,7 +1174,7 @@ TEST(SessionService, EndpointLeaksNoFileDescriptorsInEitherMode) {
         });
       for (std::thread& t : clients) t.join();
     }
-    EXPECT_EQ(open_fds(), before)
+    EXPECT_EQ(open_fd_count(), before)
         << "endpoint mode " << static_cast<int>(mode)
         << " leaked file descriptors";
   }
@@ -1391,6 +1385,62 @@ TEST(SessionService, SubmitTraceparentPropagatesThroughToCampaignSpans) {
   EXPECT_NE(journal.find("\"trace_id\":\"00c0ffee00c0ffee\""),
             std::string::npos)
       << journal;
+}
+
+TEST(SessionService, TraceSpansFiltersToOneTraceInBothModes) {
+  for (const EndpointMode mode :
+       {EndpointMode::kReactor, EndpointMode::kThreadPerConnection}) {
+    const bool reactor = mode == EndpointMode::kReactor;
+    ScratchDir scratch(reactor ? "service-spans-reactor"
+                               : "service-spans-legacy");
+    Tracer::global().reset();
+    ServiceConfig config;
+    config.root = scratch.path;
+    config.num_threads = 2;
+    config.snapshot_every = 0;
+    SessionService service(config);
+    EndpointOptions options;
+    options.mode = mode;
+    ServiceEndpoint endpoint(service, scratch.path / "serviced.sock",
+                             options);
+    const ServiceClient client(endpoint.socket_path());
+
+    const TraceContext upstream{0x0badcafe0badcafeull, 0x5678567856785678ull};
+    const std::string id =
+        client.submit(small_spec_text("9sym", 73), 0, "filtered",
+                      format_traceparent(upstream));
+    static_cast<void>(client.wait(id));
+    // An open span in the same trace: the filter leaves it out, the bare
+    // command (which the console reads) still carries it.
+    const ScopedSpan open_span(Tracer::global(), "test.still_open", upstream);
+
+    const RemoteTraceSpans filtered =
+        client.fetch_trace_spans(upstream.trace_id);
+    const std::vector<TraceSpan> expected =
+        Tracer::global().collect_trace(upstream.trace_id,
+                                       /*include_open=*/false);
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(trace_spans_to_text(filtered.spans),
+              trace_spans_to_text(expected))
+        << "TRACESPANS <id> must equal collect_trace(id, false), in order";
+
+    const RemoteTraceSpans bare = client.fetch_trace_spans();
+    EXPECT_GT(bare.spans.size(), filtered.spans.size());
+    EXPECT_TRUE(std::any_of(bare.spans.begin(), bare.spans.end(),
+                            [](const TraceSpan& span) {
+                              return span.open &&
+                                     span.name == "test.still_open";
+                            }))
+        << "bare TRACESPANS must keep the open spans";
+
+    for (const char* malformed :
+         {"TRACESPANS xyz\n", "TRACESPANS 0badcafe\n",
+          "TRACESPANS 0000000000000000\n"}) {
+      const std::string reply =
+          endpoint_request(endpoint.socket_path(), malformed);
+      EXPECT_EQ(reply.rfind("ERR ", 0), 0u) << malformed << " -> " << reply;
+    }
+  }
 }
 
 TEST(SessionService, SpoolTraceparentCommentJoinsTheTraceWithoutChangingSpec) {
