@@ -1,10 +1,12 @@
 #include "orchestrator/campaign_coordinator.hpp"
 
+#include <poll.h>
+
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <string_view>
 #include <system_error>
-#include <thread>
 #include <utility>
 
 #include "campaign/campaign_engine.hpp"
@@ -53,6 +55,10 @@ struct CampaignCoordinator::ShardWork {
   std::size_t instance_index = 0;           ///< valid while kRemote
   Clock::time_point last_progress{};        ///< last observed forward motion
   std::filesystem::path spool_out_dir;      ///< discovered out dir (spool)
+  /// The shard's parked WAIT (wire instances, while kRemote): its socket
+  /// turns readable when the remote campaign turns terminal. Closed on
+  /// every way out of kRemote.
+  PendingWait wait;
   CampaignReport report;                    ///< valid once kDone
 };
 
@@ -162,8 +168,20 @@ bool CampaignCoordinator::dispatch(ShardWork& shard) {
     const std::uint64_t dispatch_start_us = journal_now_us();
     try {
       if (instance.config.address.is_wire()) {
-        shard.progress.campaign_id = client_for(instance).submit(
+        ServiceClient& client = client_for(instance);
+        shard.progress.campaign_id = client.submit(
             shard.text, options_.priority, name_hint, traceparent);
+        // Park a WAIT right away: its reply is what wakes the supervision
+        // loop when the shard finishes. If it cannot be opened, the STATUS
+        // poll still supervises the shard.
+        try {
+          shard.wait = client.start_wait(shard.progress.campaign_id);
+        } catch (const ServiceError& e) {
+          EMUTILE_WARN("shard " << shard.progress.shard << " on '"
+                                << instance.config.name
+                                << "': no WAIT parked (" << e.what()
+                                << ") — supervising by STATUS only");
+        }
       } else {
         // Spool instances get the spec dropped into <root>/spool; the id is
         // daemon-assigned, so poll_shard discovers the output directory by
@@ -245,23 +263,86 @@ bool CampaignCoordinator::dispatch(ShardWork& shard) {
   return false;
 }
 
+void CampaignCoordinator::give_back(ShardWork& shard, const std::string& why,
+                                    bool instance_dead) {
+  InstanceState& instance = instances_[shard.instance_index];
+  EMUTILE_WARN("shard " << shard.progress.shard << " on '"
+                        << instance.config.name << "': " << why
+                        << " — re-dispatching");
+  if (instance_dead) {
+    instance.healthy = false;
+    instance.client.reset();
+  }
+  shard.wait.close();
+  shard.progress.state = ShardState::kPending;
+  if (options_.journal)
+    options_.journal->record("retry", {{"shard", shard.progress.shard},
+                                       {"instance", instance.config.name},
+                                       {"why", why}});
+}
+
+void CampaignCoordinator::collect(ShardWork& shard, CampaignReport report) {
+  shard.wait.close();
+  shard.report = std::move(report);
+  shard.progress.state = ShardState::kDone;
+  shard.progress.sessions_done = shard.progress.sessions_total;
+  if (options_.journal)
+    options_.journal->record(
+        "collect",
+        {{"shard", shard.progress.shard},
+         {"instance", instances_[shard.instance_index].config.name}});
+}
+
+void CampaignCoordinator::on_wait_reply(ShardWork& shard) {
+  std::string state;
+  try {
+    state = shard.wait.read_reply(options_.request_timeout_ms);
+  } catch (const std::exception&) {
+    // ERR (e.g. the daemon shutting down), EOF, or an IO error: the socket
+    // is closed either way, and STATUS tells a dead instance from a live
+    // one right now rather than on the next tick.
+  }
+  if (state == "finished") {
+    // The WAIT itself proves the report is on disk: fetch it straight away.
+    try {
+      collect(shard, parse_campaign_report(
+                         client_for(instances_[shard.instance_index])
+                             .fetch_shard_report(shard.progress.campaign_id)));
+    } catch (const std::exception& e) {
+      give_back(shard, e.what(), /*instance_dead=*/true);
+    }
+  } else if (state == "cancelled" || state == "failed") {
+    give_back(shard, "campaign ended " + state, /*instance_dead=*/false);
+  } else {
+    poll_shard(shard);
+  }
+}
+
+void CampaignCoordinator::await_completions(Clock::time_point until) {
+  std::vector<pollfd> fds;
+  std::vector<ShardWork*> owners;
+  for (const auto& shard : shards_) {
+    if (shard->progress.state != ShardState::kRemote || !shard->wait.open())
+      continue;
+    fds.push_back({shard->wait.fd(), POLLIN, 0});
+    owners.push_back(shard.get());
+  }
+  const auto timeout_ms = std::clamp<std::int64_t>(
+      std::chrono::ceil<std::chrono::milliseconds>(until - Clock::now())
+          .count(),
+      0, std::numeric_limits<int>::max());
+  // The loop's only wait: with no WAIT parked this is a plain sleep to the
+  // next tick. EINTR (a SIGHUP reload) just ends the wait early.
+  if (::poll(fds.data(), fds.size(), static_cast<int>(timeout_ms)) <= 0)
+    return;
+  // Every ready socket is read and closed now, never polled again — one
+  // left readable would turn the loop into a busy spin.
+  for (std::size_t i = 0; i < fds.size(); ++i)
+    if (fds[i].revents != 0) on_wait_reply(*owners[i]);
+}
+
 void CampaignCoordinator::poll_shard(ShardWork& shard) {
   InstanceState& instance = instances_[shard.instance_index];
-  const auto give_back = [&](const std::string& why, bool instance_dead) {
-    EMUTILE_WARN("shard " << shard.progress.shard << " on '"
-                          << instance.config.name << "': " << why
-                          << " — re-dispatching");
-    if (instance_dead) {
-      instance.healthy = false;
-      instance.client.reset();
-    }
-    shard.progress.state = ShardState::kPending;
-    if (options_.journal)
-      options_.journal->record("retry",
-                               {{"shard", shard.progress.shard},
-                                {"instance", instance.config.name},
-                                {"why", why}});
-  };
   // Evaluated lazily, *after* this poll has had its chance to refresh
   // last_progress — a tick that observes fresh progress (e.g. right after a
   // long in-process fallback blocked the loop) must never act on a stale
@@ -293,28 +374,23 @@ void CampaignCoordinator::poll_shard(ShardWork& shard) {
         // final report hit the disk before we fetch it.
         static_cast<void>(client.wait(shard.progress.campaign_id,
                                       options_.request_timeout_ms));
-        shard.report = parse_campaign_report(
-            client.fetch_shard_report(shard.progress.campaign_id));
-        shard.progress.state = ShardState::kDone;
-        shard.progress.sessions_done = shard.progress.sessions_total;
-        if (options_.journal)
-          options_.journal->record("collect",
-                                   {{"shard", shard.progress.shard},
-                                    {"instance", instance.config.name}});
+        collect(shard, parse_campaign_report(client.fetch_shard_report(
+                           shard.progress.campaign_id)));
       } else if (status.terminal()) {
         // failed or cancelled out from under us: the instance answered, so
         // it stays healthy, but this shard needs a new home.
-        give_back("campaign ended " + status.state, /*instance_dead=*/false);
+        give_back(shard, "campaign ended " + status.state,
+                  /*instance_dead=*/false);
       } else if (stalled()) {
         try {
           client.cancel(shard.progress.campaign_id);  // best-effort
         } catch (const std::exception&) {
         }
-        give_back("no progress past the stall deadline",
+        give_back(shard, "no progress past the stall deadline",
                   /*instance_dead=*/true);
       }
     } catch (const std::exception& e) {
-      give_back(e.what(), /*instance_dead=*/true);
+      give_back(shard, e.what(), /*instance_dead=*/true);
     }
     return;
   }
@@ -343,26 +419,21 @@ void CampaignCoordinator::poll_shard(ShardWork& shard) {
     }
     if (!shard.spool_out_dir.empty()) {
       if (std::filesystem::exists(shard.spool_out_dir / "report.shard")) {
-        shard.report =
-            load_campaign_report_file(shard.spool_out_dir / "report.shard");
-        shard.progress.state = ShardState::kDone;
-        shard.progress.sessions_done = shard.progress.sessions_total;
-        if (options_.journal)
-          options_.journal->record("collect",
-                                   {{"shard", shard.progress.shard},
-                                    {"instance", instance.config.name}});
+        collect(shard, load_campaign_report_file(shard.spool_out_dir /
+                                                 "report.shard"));
         return;
       }
       if (std::filesystem::exists(shard.spool_out_dir / "error.txt")) {
-        give_back("campaign failed (error.txt present)",
+        give_back(shard, "campaign failed (error.txt present)",
                   /*instance_dead=*/false);
         return;
       }
     }
     if (stalled())
-      give_back("no progress past the stall deadline", /*instance_dead=*/true);
+      give_back(shard, "no progress past the stall deadline",
+                /*instance_dead=*/true);
   } catch (const std::exception& e) {
-    give_back(e.what(), /*instance_dead=*/true);
+    give_back(shard, e.what(), /*instance_dead=*/true);
   }
 }
 
@@ -471,6 +542,7 @@ void CampaignCoordinator::maybe_steal() {
   victim->text = serialize_campaign_spec(victim->spec);
   victim->job_end = mid;
   victim->progress.state = ShardState::kPending;
+  victim->wait.close();
   victim->progress.campaign_id.clear();
   victim->progress.sessions_done = 0;
   victim->progress.sessions_total = victim->spec.expand().size();
@@ -650,13 +722,28 @@ OrchestrationResult CampaignCoordinator::run(const CampaignSpec& spec) {
         std::filesystem::last_write_time(options_.fleet_file, ec);
   }
 
+  // Per-run sockets (parked WAITs, persistent clients) close when run()
+  // ends, by return or by throw — a reused coordinator re-dials rather than
+  // holding fleet sockets open between runs.
+  struct CloseRunSockets {
+    CampaignCoordinator& self;
+    ~CloseRunSockets() {
+      for (const auto& shard : self.shards_) shard->wait.close();
+      for (InstanceState& instance : self.instances_) instance.client.reset();
+    }
+  } close_run_sockets{*this};
+
   // The supervision loop: reconcile membership, dispatch pending shards,
-  // poll in-flight ones, steal for idle instances, stream a snapshot,
-  // sleep. A shard bounces kPending -> kRemote -> kDone, detouring back to
-  // kPending on every failure until it exhausts the fleet (one dispatch per
-  // instance plus slack) and runs locally.
+  // on each tick poll in-flight ones and steal for idle instances, stream a
+  // snapshot, then wait — in one poll(2) over the parked WAITs, bounded by
+  // the next tick — for a shard to finish. A shard bounces kPending ->
+  // kRemote -> kDone, detouring back to kPending on every failure until it
+  // exhausts the fleet (one dispatch per instance plus slack) and runs
+  // locally.
   Clock::time_point last_reprobe = Clock::now();
+  Clock::time_point next_tick = Clock::now();
   for (;;) {
+    const bool tick = Clock::now() >= next_tick;
     poll_membership();
 
     // Re-probe unhealthy wire instances on the reprobe cadence: a PING
@@ -693,7 +780,7 @@ OrchestrationResult CampaignCoordinator::run(const CampaignSpec& spec) {
           any_healthy || (instance.healthy && !instance.retired);
 
     // Index loop: maybe_steal() below appends, and a re-dispatched shard
-    // appended this very tick should still be considered next tick.
+    // appended this very pass should still be considered next pass.
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       ShardWork& shard = *shards_[i];
       if (shard.progress.state == ShardState::kPending) {
@@ -709,18 +796,21 @@ OrchestrationResult CampaignCoordinator::run(const CampaignSpec& spec) {
           run_local(shard);
         }
         // else: every healthy instance answered busy — stay pending and
-        // retry next tick; their bounded queues are draining.
-      } else if (shard.progress.state == ShardState::kRemote) {
+        // retry next pass; their bounded queues are draining.
+      } else if (shard.progress.state == ShardState::kRemote && tick) {
         poll_shard(shard);
       }
       if (shard.progress.state == ShardState::kDone) ++done;
     }
 
-    maybe_steal();
+    if (tick) {
+      maybe_steal();
+      next_tick = Clock::now() + options_.poll_interval;
+    }
 
     if (options_.on_snapshot) options_.on_snapshot(snapshot());
     if (done == shards_.size()) break;
-    std::this_thread::sleep_for(options_.poll_interval);
+    await_completions(next_tick);
   }
 
   OrchestrationResult result;
@@ -788,14 +878,16 @@ OrchestrationResult CampaignCoordinator::run(const CampaignSpec& spec) {
       try {
         ServiceClient& client = client_for(instance);
         const std::uint64_t t0 = journal_now_us();
-        RemoteTraceSpans remote = client.fetch_trace_spans();
+        RemoteTraceSpans remote =
+            client.fetch_trace_spans(run_root_.trace_id);
         const std::uint64_t t1 = journal_now_us();
         const std::int64_t offset =
             static_cast<std::int64_t>((t0 + t1) / 2) -
             static_cast<std::int64_t>(remote.now_us);
         std::vector<TraceSpan> spans = std::move(remote.spans);
         // Other traces' spans (and still-open ones — no defensible
-        // duration) stay behind.
+        // duration) stay behind. The daemon already filters; this keeps a
+        // daemon that predates the TRACESPANS filter correct.
         spans.erase(
             std::remove_if(spans.begin(), spans.end(),
                            [&](const TraceSpan& s) {
@@ -829,10 +921,6 @@ OrchestrationResult CampaignCoordinator::run(const CampaignSpec& spec) {
                                {{"instances", result.trace_instances},
                                 {"spans", result.fleet_trace.size()}});
   }
-  // Drop the per-run clients (and their persistent connections) eagerly —
-  // a reused coordinator re-dials rather than holding fleet sockets open
-  // between runs.
-  for (InstanceState& instance : instances_) instance.client.reset();
   return result;
 }
 

@@ -18,9 +18,14 @@
 ///                result/baseline caches already hold a shard's sessions
 ///                (the coordinator remembers which job ranges each instance
 ///                has seen); ties fall back to round-robin
-///   supervision  STATUS is polled every poll_interval; per-instance
-///                progress and merged totals stream out via on_snapshot.
-///                Wire instances are polled over an opt-in persistent
+///   supervision  completion-driven: every shard on a wire instance has
+///                one WAIT parked on its own connection, and the loop's
+///                only wait is one poll(2) over those sockets, so a shard
+///                is collected the moment its campaign turns terminal.
+///                STATUS is polled every poll_interval for what WAIT cannot
+///                say — progress, stalls, draining, steal decisions — and
+///                per-instance progress and merged totals stream out via
+///                on_snapshot. STATUS rides an opt-in persistent
 ///                connection, so fleet polling does not pay a dial per tick
 ///                on TCP
 ///   re-dispatch  an instance that dies (connection refused), hangs past
@@ -56,9 +61,15 @@
 ///   degradation  when no healthy instance remains (or none ever existed),
 ///                remaining shards run in-process via run_campaign — the
 ///                fleet burning down degrades throughput, never correctness
-///   collection   a finished shard is WAITed (fast — already terminal),
-///                fetched over SHARDREPORT, and parsed from the mergeable
-///                wire format (campaign_report_io)
+///   collection   a WAIT answering `finished` (or a STATUS seeing it,
+///                confirmed by WAIT) means the report is on disk: it is
+///                fetched over SHARDREPORT at once and parsed from the
+///                mergeable wire format (campaign_report_io). A WAIT
+///                answering cancelled/failed re-dispatches the shard; one
+///                that errors or drops falls through to STATUS, so a dead
+///                instance's shard moves without waiting for the tick.
+///                Spool instances are watched on the tick. The fleet trace
+///                stitch asks each instance for this run's spans only
 ///
 /// Determinism contract: run() returns a report whose to_csv()/to_json()
 /// bytes equal a direct run_campaign(spec) of the same unsharded spec, no
@@ -123,7 +134,9 @@ struct CoordinatorOptions {
   std::size_t num_shards = 0;
   /// Priority forwarded to every SUBMIT.
   int priority = 0;
-  /// STATUS poll cadence (also the snapshot cadence).
+  /// STATUS poll cadence: progress, stall detection, draining, work
+  /// stealing, and spool-instance completion. Wire shards are collected
+  /// when their WAIT answers, not on this cadence.
   std::chrono::milliseconds poll_interval{200};
   /// Re-dispatch a shard whose instance reported no progress for this long
   /// (0 disables stall detection). This is also the only way a *dead*
@@ -154,7 +167,8 @@ struct CoordinatorOptions {
   /// Optional caller-owned flag (e.g. flipped by a SIGHUP handler): when
   /// found true it is cleared and `fleet_file` is re-read immediately.
   std::atomic<bool>* reload_flag = nullptr;
-  /// Streamed once per poll tick with the current fleet aggregate.
+  /// Streamed once per supervision pass — every poll tick and every WAIT
+  /// that wakes the loop — with the current fleet aggregate.
   std::function<void(const FleetSnapshot&)> on_snapshot;
   /// After every shard is collected, fetch METRICS from each wire instance
   /// and merge the registries into OrchestrationResult::fleet_metrics — the
@@ -169,11 +183,12 @@ struct CoordinatorOptions {
   /// a fresh trace per run(); the orchestrate tool passes its own root so a
   /// re-used coordinator keeps one trace per invocation.
   TraceContext trace{};
-  /// After every shard is collected, fetch TRACESPANS from each wire
-  /// instance, shift the spans onto the local clock (clock-offset correction
-  /// via the request/reply midpoint), and stitch everything reachable under
-  /// this run's trace id into OrchestrationResult::fleet_trace. Same
-  /// best-effort stance as collect_metrics.
+  /// After every shard is collected, fetch this run's spans (TRACESPANS
+  /// <trace id>) from each wire instance, shift them onto the local clock
+  /// (clock-offset correction via the request/reply midpoint), and stitch
+  /// everything reachable under this run's trace id into
+  /// OrchestrationResult::fleet_trace. Same best-effort stance as
+  /// collect_metrics.
   bool collect_trace = true;
 };
 
@@ -230,6 +245,18 @@ class CampaignCoordinator {
   /// One STATUS/report-collection pass over an in-flight shard. May flip it
   /// to kDone or back to kPending (failure → re-dispatch).
   void poll_shard(ShardWork& shard);
+  /// Send an in-flight shard back to kPending for re-dispatch; a dead
+  /// instance also leaves the rotation.
+  void give_back(ShardWork& shard, const std::string& why,
+                 bool instance_dead);
+  /// Mark a shard kDone with its report.
+  void collect(ShardWork& shard, CampaignReport report);
+  /// The shard's parked WAIT turned readable: read and close it, then
+  /// collect, re-dispatch, or fall back to a STATUS poll.
+  void on_wait_reply(ShardWork& shard);
+  /// The loop's only wait: one poll(2) over the in-flight shards' WAIT
+  /// sockets until `until`; every socket that answers is handled at once.
+  void await_completions(std::chrono::steady_clock::time_point until);
   void run_local(ShardWork& shard);
   /// Split the slowest in-flight shard for an idle instance, if any.
   void maybe_steal();

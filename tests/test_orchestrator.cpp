@@ -3,11 +3,12 @@
 // coordinator end-to-end — sharded orchestration over in-process serviced
 // instances, re-dispatch when an instance is killed mid-campaign, a rolling
 // drain-restart upgrade across the whole fleet, fleet-file membership
-// reloads, spool-addressed instances, and the all-instances-down in-process
-// fallback. The load-bearing assertion throughout: the merged fleet report
-// is byte-identical to a direct unsharded run_campaign of the same spec
-// (with a field-by-field differential cross-check explaining any
-// divergence).
+// reloads, spool-addressed instances, the all-instances-down in-process
+// fallback, and completion-driven supervision (a parked WAIT collects or
+// re-dispatches a shard before the STATUS tick; no run leaks a socket).
+// The load-bearing assertion throughout: the merged fleet report is
+// byte-identical to a direct unsharded run_campaign of the same spec (with
+// a field-by-field differential cross-check explaining any divergence).
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include "campaign/campaign_engine.hpp"
 #include "campaign/campaign_report_io.hpp"
 #include "campaign/campaign_spec_io.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_io.hpp"
 #include "orchestrator/campaign_coordinator.hpp"
@@ -719,6 +721,172 @@ TEST(CampaignCoordinator, StitchedFleetTraceIsParentCleanAcrossInstances) {
   const std::string json = trace_events_json(result.fleet_trace);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"orchestrate.run\""), std::string::npos);
+}
+
+/// `count` in-process Unix-socket instances named <prefix>0.. and the fleet
+/// config that lists them.
+struct LocalFleet {
+  std::vector<std::unique_ptr<InProcessInstance>> hosts;
+  FleetConfig config;
+
+  LocalFleet(const fs::path& root, const std::string& prefix, int count) {
+    for (int i = 0; i < count; ++i) {
+      const std::string name = prefix + std::to_string(i);
+      hosts.push_back(
+          std::make_unique<InProcessInstance>(root / name, /*threads=*/1));
+      config.instances.push_back(
+          {name,
+           ServiceAddress::unix_socket(hosts.back()->endpoint->socket_path())});
+    }
+  }
+};
+
+/// Block until every shard has its WAIT parked on its daemon: the reactor
+/// counts a WAIT when it first executes it, just before parking it.
+void await_parked_waits(const MetricCounter& waits, std::uint64_t target) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (waits.value() < target) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "the coordinator never parked its WAITs";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+void expect_matches_direct_run(const OrchestrationResult& result,
+                               const CampaignSpec& spec) {
+  const CampaignReport direct = run_campaign(spec);
+  EXPECT_EQ(result.report.to_json(), direct.to_json());
+  EXPECT_EQ(result.report.to_csv(), direct.to_csv());
+  EXPECT_EQ(test::diff_campaign_reports_csv(direct.to_csv(),
+                                            result.report.to_csv()),
+            "");
+}
+
+TEST(CampaignCoordinator, ShardCompletionWakesTheLoopBeforeTheTick) {
+  // With a 30 s STATUS cadence the first pass only dispatches. Every shard
+  // must still be collected when its parked WAIT answers, long before the
+  // first tick.
+  ScratchDir scratch("coord-wait-wake");
+  const LocalFleet fleet(scratch.path, "whost", 3);
+  const CampaignSpec spec = sharded_test_spec(/*replicas=*/3, 4100);
+  CoordinatorOptions options;
+  options.poll_interval = std::chrono::seconds(30);
+  options.request_timeout_ms = 10'000;
+  CampaignCoordinator coordinator(fleet.config, options);
+
+  const auto start = std::chrono::steady_clock::now();
+  const OrchestrationResult result = coordinator.run(spec);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10))
+      << "run() waited for the STATUS tick instead of the WAITs";
+  EXPECT_EQ(result.num_shards, 3u);
+  EXPECT_EQ(result.redispatches, 0u);
+  EXPECT_EQ(result.local_shards, 0u);
+  for (const ShardProgress& shard : result.shards)
+    EXPECT_EQ(shard.state, ShardState::kDone);
+  expect_matches_direct_run(result, spec);
+}
+
+TEST(CampaignCoordinator, LostInstanceRedispatchesBeforeTheTick) {
+  // An instance's endpoint goes away while its shard's WAIT is parked. The
+  // WAIT's answer (or its dropped socket) must send the shard elsewhere at
+  // once — with a 30 s STATUS cadence, waiting for the tick would blow the
+  // time bound.
+  ScratchDir scratch("coord-wait-lost");
+  LocalFleet fleet(scratch.path, "lhost", 3);
+  const CampaignSpec spec = sharded_test_spec(/*replicas=*/3, 4200);
+  CoordinatorOptions options;
+  options.poll_interval = std::chrono::seconds(30);
+  options.request_timeout_ms = 10'000;
+  CampaignCoordinator coordinator(fleet.config, options);
+  const MetricCounter& waits =
+      MetricsRegistry::global().counter("endpoint.requests.WAIT");
+  const std::uint64_t waits_before = waits.value();
+
+  OrchestrationResult result;
+  const auto start = std::chrono::steady_clock::now();
+  std::thread orchestration([&] { result = coordinator.run(spec); });
+  await_parked_waits(waits, waits_before + 3);
+  fleet.hosts[1]->endpoint.reset();
+  orchestration.join();
+
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10))
+      << "the lost shard waited for the STATUS tick";
+  EXPECT_GE(result.redispatches, 1u)
+      << "the lost instance's shard must have been re-dispatched";
+  EXPECT_EQ(result.local_shards, 0u);
+  for (const ShardProgress& shard : result.shards) {
+    EXPECT_EQ(shard.state, ShardState::kDone);
+    EXPECT_NE(shard.instance, "lhost1");
+  }
+  expect_matches_direct_run(result, spec);
+}
+
+TEST(CampaignCoordinator, RunsLeakNoSockets) {
+  // Parked WAITs and persistent STATUS channels are per-run sockets: after
+  // run() returns, the process holds exactly the sockets it held before —
+  // for a plain run, a run that steals, and a run that re-dispatches. Only
+  // sockets are counted: the in-process daemons keep each campaign's
+  // journal files open. They also close their side of a connection
+  // asynchronously, hence the bounded wait for the count to settle.
+  using test::open_fd_count;
+  const auto expect_fds_settle_at = [](std::size_t expected) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (open_fd_count("socket:") != expected &&
+           std::chrono::steady_clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(open_fd_count("socket:"), expected);
+  };
+  CoordinatorOptions options;
+  options.poll_interval = std::chrono::milliseconds(20);
+  options.request_timeout_ms = 10'000;
+
+  {
+    ScratchDir scratch("coord-fd-plain");
+    const LocalFleet fleet(scratch.path, "phost", 3);
+    CampaignCoordinator coordinator(fleet.config, options);
+    const CampaignSpec spec = sharded_test_spec(/*replicas=*/2, 4300);
+    const std::size_t before = open_fd_count("socket:");
+    const OrchestrationResult result = coordinator.run(spec);
+    expect_fds_settle_at(before);
+    expect_matches_direct_run(result, spec);
+  }
+  {
+    ScratchDir scratch("coord-fd-steal");
+    const LocalFleet fleet(scratch.path, "shost", 2);
+    CoordinatorOptions steal_options = options;
+    steal_options.num_shards = 1;  // the idle second host must steal
+    CampaignCoordinator coordinator(fleet.config, steal_options);
+    const CampaignSpec spec = sharded_test_spec(/*replicas=*/6, 4400);
+    const std::size_t before = open_fd_count("socket:");
+    const OrchestrationResult result = coordinator.run(spec);
+    EXPECT_GE(result.steals, 1u);
+    expect_fds_settle_at(before);
+    expect_matches_direct_run(result, spec);
+  }
+  {
+    // Cancelling a shard's campaign under the coordinator answers its
+    // parked WAIT `cancelled`; the shard is re-dispatched and the instance
+    // stays up, so the daemons' own descriptors do not change.
+    ScratchDir scratch("coord-fd-redispatch");
+    const LocalFleet fleet(scratch.path, "rhost", 3);
+    CampaignCoordinator coordinator(fleet.config, options);
+    const CampaignSpec spec = sharded_test_spec(/*replicas=*/3, 4500);
+    const MetricCounter& waits =
+        MetricsRegistry::global().counter("endpoint.requests.WAIT");
+    const std::uint64_t waits_before = waits.value();
+    const std::size_t before = open_fd_count("socket:");
+    OrchestrationResult result;
+    std::thread orchestration([&] { result = coordinator.run(spec); });
+    await_parked_waits(waits, waits_before + 3);
+    SessionService& service = *fleet.hosts[1]->service;
+    EXPECT_TRUE(service.cancel(service.list().front().id));
+    orchestration.join();
+    EXPECT_GE(result.redispatches, 1u);
+    expect_fds_settle_at(before);
+    expect_matches_direct_run(result, spec);
+  }
 }
 
 TEST(CampaignCoordinator, FallbackDisabledThrowsWhenFleetIsDown) {
