@@ -3,9 +3,11 @@
 /// nine Table 1 designs with consistent parameters and prints uniform
 /// headers. Each bench binary regenerates one table or figure.
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -14,6 +16,11 @@
 #include "util/file_io.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
+
+// The CMake build type the bench was compiled under (set per bench target).
+#ifndef EMUTILE_BUILD_TYPE
+#define EMUTILE_BUILD_TYPE "unknown"
+#endif
 
 namespace emutile::bench {
 
@@ -53,8 +60,12 @@ inline void banner(const char* title, const char* paper_ref) {
 
 /// Machine-readable bench output: a flat named-metric JSON document,
 ///
-///   {"bench": "<name>", "metrics": {"<key>": <number>, ...}}
+///   {"bench": "<name>",
+///    "shape": {"nproc": <cores>, "build_type": "<CMAKE_BUILD_TYPE>"},
+///    "metrics": {"<key>": <number>, ...}}
 ///
+/// `shape` records the machine and build the numbers came from, so
+/// perf_compare can say when a baseline and a run are not comparable.
 /// shared by every bench the perf-regression CI lane consumes — the
 /// checked-in bench/baselines/*.json files are literal copies of this
 /// output, and tools/perf_compare reads both sides. Metric naming contract:
@@ -72,8 +83,11 @@ class MetricsJson {
   }
 
   [[nodiscard]] std::string str() const {
-    std::string out = "{\n  \"bench\": \"" + bench_name_ + "\",\n"
-                      "  \"metrics\": {\n";
+    std::string out = "{\n  \"bench\": \"" + bench_name_ + "\",\n";
+    out += "  \"shape\": {\"nproc\": " +
+           std::to_string(std::max(1u, std::thread::hardware_concurrency())) +
+           ", \"build_type\": \"" EMUTILE_BUILD_TYPE "\"},\n";
+    out += "  \"metrics\": {\n";
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
       char buf[64];
       std::snprintf(buf, sizeof buf, "%.6g", metrics_[i].second);

@@ -18,8 +18,12 @@
 /// T_1 — the largest fleet's wall time normalized by the speedup the
 /// hardware could at best deliver (lower is better; 1.0 is perfectly linear
 /// scaling, and on a single-core runner it degenerates to the coordinator's
-/// overhead factor, which is exactly what can regress there). Absolute
-/// seconds and per-size speedups ride along as informational keys.
+/// overhead factor, which is exactly what can regress there).
+/// `coordinator_overhead_ratio` = T_1 / T_direct is the one-instance fleet's
+/// wall time over a direct run_campaign: what the coordinator, the wire and
+/// the daemon add to the same work. It is guarded too once a baseline
+/// records it. Absolute seconds and per-size speedups ride along as
+/// informational keys.
 
 #include <chrono>
 #include <cstdint>
@@ -206,14 +210,21 @@ int main(int argc, char** argv) {
   std::cout << "fleet_scale_ratio (T_" << largest.size << " x min(cores, "
             << largest.size << ") / T_1): " << Table::fmt(scale_ratio, 3)
             << " (1.0 = perfectly linear)\n";
+  const double overhead_ratio =
+      direct_s > 0.0 ? runs.front().wall_s / direct_s : 0.0;
+  std::cout << "coordinator_overhead_ratio (T_1 / T_direct): "
+            << Table::fmt(overhead_ratio, 3) << "\n";
 
   if (!json_out.empty()) {
     bench::MetricsJson metrics("fleet_scale");
     // Guarded: wall time of the largest fleet normalized by the best
     // speedup the hardware allows, relative to the single-instance fleet.
     metrics.add("fleet_scale_ratio", scale_ratio);
-    // Informational: the raw curve, the coordination tax over a direct
-    // run, and how much the balancer had to intervene.
+    // Guarded (once a baseline carries it): the one-instance fleet over the
+    // direct run — the coordination tax on identical work.
+    metrics.add("coordinator_overhead_ratio", overhead_ratio);
+    // Informational: the raw curve and how much the balancer had to
+    // intervene.
     metrics.add("fleet_direct_s", direct_s);
     for (const FleetRun& run : runs) {
       const std::string prefix = "fleet_" + std::to_string(run.size);

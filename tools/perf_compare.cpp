@@ -15,6 +15,11 @@
 /// Exit codes: 0 pass, 1 regression, 2 usage/IO/parse error. Improvements
 /// beyond the tolerance band pass but are called out so the baseline gets
 /// refreshed (scripts/ci.sh perf-refresh).
+///
+/// Both documents' machine shapes (the "shape" object: core count and build
+/// type) are printed. A mismatch, or a baseline that records no shape, is
+/// flagged on stderr — the verdicts may then reflect the machine rather
+/// than the code — but never changes the exit code.
 
 #include <cstdio>
 #include <cstdlib>
@@ -65,6 +70,25 @@ std::map<std::string, double> parse_metrics(const std::string& text,
   return metrics;
 }
 
+/// The "shape" object of a MetricsJson document as `nproc=<n>
+/// build_type=<t>`, or empty when the document records none.
+std::string parse_shape(const std::string& text) {
+  const std::size_t anchor = text.find("\"shape\"");
+  if (anchor == std::string::npos) return "";
+  const std::size_t close = text.find('}', anchor);
+  const std::string object = text.substr(anchor, close - anchor);
+  const auto field = [&](const std::string& key) -> std::string {
+    const std::size_t at = object.find("\"" + key + "\"");
+    if (at == std::string::npos) return "?";
+    const std::size_t begin =
+        object.find_first_not_of(" :\"", at + key.size() + 2);
+    const std::size_t end = object.find_first_of(",\"}", begin);
+    return begin == std::string::npos ? "?"
+                                      : object.substr(begin, end - begin);
+  };
+  return "nproc=" + field("nproc") + " build_type=" + field("build_type");
+}
+
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -98,6 +122,21 @@ int main(int argc, char** argv) {
   int regressions = 0;
   std::printf("perf_compare: tolerance %.0f%%  (%s vs %s)\n",
               100.0 * tolerance, argv[1], argv[2]);
+  const std::string baseline_shape = parse_shape(baseline_text);
+  const std::string current_shape = parse_shape(current_text);
+  std::printf("  shape: baseline %s | current %s\n",
+              baseline_shape.empty() ? "(none recorded)"
+                                     : baseline_shape.c_str(),
+              current_shape.empty() ? "(none recorded)"
+                                    : current_shape.c_str());
+  if (baseline_shape.empty())
+    std::cerr << "perf_compare: WARNING " << argv[1]
+              << " records no machine shape — re-record it (perf-refresh) "
+                 "before trusting a verdict across machines\n";
+  else if (baseline_shape != current_shape)
+    std::cerr << "perf_compare: WARNING machine shapes differ (baseline "
+              << baseline_shape << ", current " << current_shape
+              << ") — guarded ratios may not transfer\n";
   std::printf("  %-32s %12s %12s  %s\n", "metric", "baseline", "current",
               "verdict");
   for (const auto& [key, base] : baseline) {
