@@ -45,7 +45,10 @@
 #                cache hits) and fleet_smoke: a real 3-daemon fleet on TCP
 #                loopback (ephemeral ports read back from each daemon's
 #                serviced.tcp file) driven through emutile_orchestrate,
-#                asserting the merged report and the stitched fleet trace.
+#                asserting the merged report and the stitched fleet trace,
+#                then once more with a 10-minute --poll-ms, which must still
+#                finish (shards are collected when their WAIT answers) with
+#                a byte-identical report.
 #   perf         the perf-regression lane: run session_profile,
 #                campaign_sweep, and fleet_scale on the pinned small grids
 #                below, then compare their metrics JSON against the
@@ -280,6 +283,17 @@ fleet_smoke() {
   ./build/emutile_orchestrate --fleet "$fleet_dir/fleet.cfg" \
     --spec "$fleet_dir/smoke.spec" --out "$fleet_dir" --shards 3 \
     | tee "$fleet_dir/orchestrate.log"
+
+  # The same campaign again with a 10-minute STATUS cadence: every shard must
+  # still be collected when its parked WAIT answers, so the run finishes well
+  # inside the timeout, merges the same bytes, and the filtered trace stitch
+  # still reaches all three instances.
+  mkdir -p "$fleet_dir/wait"
+  timeout 120 ./build/emutile_orchestrate --fleet "$fleet_dir/fleet.cfg" \
+    --spec "$fleet_dir/smoke.spec" --out "$fleet_dir/wait" --shards 3 \
+    --poll-ms 600000 | tee "$fleet_dir/wait/orchestrate.log"
+  cmp "$fleet_dir/report.json" "$fleet_dir/wait/report.json"
+  grep -q 'from 3 instance(s)' "$fleet_dir/wait/orchestrate.log"
 
   # One console snapshot while the fleet is still up — the live path the
   # operator tooling exercises (LIST + METRICS + TRACESPANS per instance).
