@@ -16,6 +16,11 @@
 ///                         [--metric detection|correction|debug-work]
 ///                         [--quiet]
 ///
+/// --poll-ms (default 200) is the STATUS cadence: progress lines, stall
+/// detection, draining, work stealing, and spool-instance completion. A
+/// shard on a wire instance is collected the moment its parked WAIT
+/// answers, so a longer cadence costs no completion latency.
+///
 /// The fleet is elastic mid-campaign: editing FLEET.cfg (or sending the
 /// process SIGHUP to force a re-read) joins newly-listed instances into the
 /// running campaign and retires missing ones; a rewrite that fails to parse
