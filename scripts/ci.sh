@@ -61,15 +61,16 @@
 #                build/perf/ and are uploaded by CI on success and failure
 #                alike.
 #   storm        the submit-storm lane: drive the service front end with the
-#                pinned epoll load generator (bench/submit_storm) in both
-#                endpoint modes and compare against bench/baselines/
-#                submit_storm.json. The guarded key is storm_submit_ratio —
-#                legacy/reactor SUBMIT throughput, a machine-portable ratio
-#                that regresses (grows) when the reactor endpoint loses its
-#                edge over thread-per-connection; absolute req/s and latency
-#                quantiles ride along as informational keys. Artifacts land
-#                in build/storm/ and are uploaded by CI on success and
-#                failure alike.
+#                pinned epoll load generator (bench/submit_storm), then the
+#                same SUBMITs as direct submit_text calls, and compare
+#                against bench/baselines/submit_storm.json. The guarded key
+#                is storm_endpoint_overhead_ratio — direct calls/s over wire
+#                SUBMIT replies/s, measured in the same run on the same
+#                machine, which regresses (grows) when the endpoint gets
+#                slower relative to the service it fronts; absolute req/s
+#                and latency quantiles ride along as informational keys.
+#                Artifacts land in build/storm/ and are uploaded by CI on
+#                success and failure alike.
 #   perf-refresh rerun the same pinned grids (perf + storm) and write their
 #                metrics JSON straight into bench/baselines/ — how the
 #                baselines are regenerated locally after an intentional perf
@@ -154,10 +155,10 @@ bench_smoke() {
   mkdir -p build/bench-smoke
   ./build/campaign_sweep 2 1 build/bench-smoke/campaign_sweep.csv \
     | tee build/bench-smoke/campaign_sweep.log
-  # A tiny reactor-only storm: not a perf gate (that's the storm step), just
-  # proof that the epoll endpoint survives a concurrent one-shot burst in
-  # the same environment the fleet smoke runs in.
-  ./build/submit_storm --mode reactor --clients 64 --requests-per-client 4 \
+  # A tiny storm: not a perf gate (that's the storm step), just proof that
+  # the epoll endpoint survives a concurrent one-shot burst in the same
+  # environment the fleet smoke runs in.
+  ./build/submit_storm --clients 64 --requests-per-client 4 \
     --json build/bench-smoke/submit_storm.json \
     | tee build/bench-smoke/submit_storm.log
   daemon_smoke
@@ -185,13 +186,16 @@ EOF
 # real binary's WAIT wake-up path. A functional check, not a timing gate:
 # both submissions must finish, the two reports must be byte-identical, and
 # the daemon's cache must report hits. `timeout` turns a WAIT that is never
-# answered into a failure instead of a hung job.
+# answered into a failure instead of a hung job. The daemon runs under a
+# 256-descriptor limit and then serves 300 more warm resubmits: a daemon
+# that kept finished campaigns' files open would run out of descriptors
+# long before the last one.
 daemon_smoke() {
   local dir=build/bench-smoke/daemon
   rm -rf "$dir"
   mkdir -p "$dir"
-  ./build/emutile_serviced --root "$dir" --threads 2 --snapshot-every 0 \
-    --slow-request-ms 30000 > "$dir/daemon.log" 2>&1 &
+  ( ulimit -n 256 && exec ./build/emutile_serviced --root "$dir" --threads 2 \
+      --snapshot-every 0 --slow-request-ms 30000 ) > "$dir/daemon.log" 2>&1 &
   local pid=$!
   stop_daemon() {
     touch "$dir/stop" 2>/dev/null || true
@@ -222,9 +226,21 @@ daemon_smoke() {
   [[ ${hits:-0} -gt 0 ]] || { echo "daemon_smoke: no cache hits" >&2
                               return 1; }
 
+  local n
+  for (( n = 1; n <= 300; ++n )); do
+    if ! timeout 60 ./build/emutile_submit --root "$dir" --wait \
+           "$dir/smoke.spec" > "$dir/resubmit.log" 2>&1 ||
+       ! grep -q ': OK finished$' "$dir/resubmit.log"; then
+      echo "daemon_smoke: warm resubmit $n did not finish" >&2
+      cat "$dir/resubmit.log" "$dir/daemon.log" >&2
+      return 1
+    fi
+  done
+
   stop_daemon
   trap - RETURN
-  echo "daemon_smoke: cold and warm reports identical, cache hits=$hits"
+  echo "daemon_smoke: cold and warm reports identical, cache hits=$hits," \
+       "300 resubmits finished under a 256-fd limit"
 }
 
 # A real 3-instance fleet end to end, over TCP loopback: three daemons on

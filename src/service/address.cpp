@@ -8,7 +8,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -47,13 +46,12 @@ addrinfo* resolve_tcp(const ServiceAddress& address, bool passive) {
   return result;
 }
 
+}  // namespace
+
 void set_nodelay(int fd) {
   const int one = 1;
-  // Best-effort: fails (harmlessly) on non-TCP sockets.
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
-
-}  // namespace
 
 const char* to_string(AddressKind kind) {
   switch (kind) {
@@ -177,13 +175,11 @@ int dial_service_address(const ServiceAddress& address) {
   return -1;  // unreachable
 }
 
-int listen_service_address(const ServiceAddress& address, int backlog,
-                           bool nonblocking) {
+int listen_service_address(const ServiceAddress& address, int backlog) {
   EMUTILE_CHECK(address.is_wire(), "spool address "
                                        << address.to_string()
                                        << " cannot be listened on");
-  const int type = SOCK_STREAM | SOCK_CLOEXEC |
-                   (nonblocking ? SOCK_NONBLOCK : 0);
+  const int type = SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK;
   if (address.kind == AddressKind::kUnix) {
     const sockaddr_un addr = make_unix_sockaddr(address.path);
     std::filesystem::remove(address.path);  // replace a stale socket file
@@ -243,24 +239,21 @@ ServiceAddress bound_service_address(const ServiceAddress& requested,
   return bound;
 }
 
-bool fd_read_all(int fd, std::string& out, int timeout_ms,
-                 const std::atomic<bool>* stop) {
+bool fd_read_all(int fd, std::string& out, int timeout_ms) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   char buf[4096];
   for (;;) {
     if (timeout_ms >= 0) {
-      if (stop && stop->load()) return false;
       const auto remaining =
           std::chrono::duration_cast<std::chrono::milliseconds>(
               deadline - std::chrono::steady_clock::now())
               .count();
       if (remaining <= 0) return false;
       pollfd pfd{fd, POLLIN, 0};
-      const int ready = ::poll(
-          &pfd, 1, static_cast<int>(std::min<long long>(remaining, 100)));
+      const int ready = ::poll(&pfd, 1, static_cast<int>(remaining));
       if (ready < 0 && errno != EINTR) return false;
-      if (ready <= 0) continue;  // re-check stop + deadline, poll again
+      if (ready <= 0) continue;  // EINTR or the deadline: re-check it
     }
     const ssize_t n = ::read(fd, buf, sizeof buf);
     if (n == 0) return true;

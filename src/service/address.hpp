@@ -21,7 +21,6 @@
 /// config's `spool` kind). Everything that serializes an address emits the
 /// canonical `to_string()` URI form.
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -71,23 +70,25 @@ struct ServiceAddress {
 
 /// Bind and listen on a wire address. A stale Unix socket file is replaced;
 /// TCP listeners get SO_REUSEADDR, and port 0 binds an ephemeral port (read
-/// it back with bound_service_address). `nonblocking` makes the listen fd —
-/// and, via accept4 at the call sites, its accepted fds — non-blocking for
-/// reactor use. Returns the listening fd; throws CheckError on failure.
+/// it back with bound_service_address). The listen fd is non-blocking, for
+/// the endpoint's reactor (which gives its accepted fds the same flag via
+/// accept4). Returns the listening fd; throws CheckError on failure.
 [[nodiscard]] int listen_service_address(const ServiceAddress& address,
-                                         int backlog, bool nonblocking);
+                                         int backlog);
 
 /// The address a listening fd actually bound — `requested` with the real
 /// port filled in for tcp:...:0 listeners, `requested` unchanged otherwise.
 [[nodiscard]] ServiceAddress bound_service_address(
     const ServiceAddress& requested, int listen_fd);
 
+/// Set TCP_NODELAY on `fd`. Best-effort: fails harmlessly on non-TCP
+/// sockets.
+void set_nodelay(int fd);
+
 /// Read from `fd` until EOF. Returns false on read errors, or — when
-/// `timeout_ms` is non-negative — if EOF has not arrived by the deadline or
-/// `*stop` became true (polled in short slices). Negative timeout blocks
-/// indefinitely.
-bool fd_read_all(int fd, std::string& out, int timeout_ms = -1,
-                 const std::atomic<bool>* stop = nullptr);
+/// `timeout_ms` is non-negative — if EOF has not arrived by the deadline.
+/// Negative timeout blocks indefinitely.
+bool fd_read_all(int fd, std::string& out, int timeout_ms = -1);
 
 /// Write all of `data` (MSG_NOSIGNAL: a closed peer yields false, never a
 /// process-killing SIGPIPE). Returns false on write errors.

@@ -76,7 +76,9 @@ struct ServiceHello {
   bool supported = false;
   int proto = 1;
   std::string id;    ///< stable instance id (hostname-pid)
-  std::string mode;  ///< "reactor" | "legacy"
+  /// "reactor"; older daemons may still answer "legacy" (one-shot only,
+  /// no `persist` cap) during a rolling upgrade.
+  std::string mode;
   std::vector<std::string> caps;
 
   [[nodiscard]] bool has_cap(const std::string& cap) const;

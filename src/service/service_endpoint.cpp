@@ -1,8 +1,5 @@
 #include "service/service_endpoint.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -30,8 +27,7 @@ namespace {
 
 /// How long the server waits for a request to arrive in full. A client that
 /// connects and never writes (or never half-closes) must not pin a
-/// connection forever — that would also block ~ServiceEndpoint, which drains
-/// in-flight connections.
+/// connection forever.
 constexpr int kRequestReadTimeoutMs = 30'000;
 
 /// An idle persistent connection is allowed to sit longer than a one-shot
@@ -72,12 +68,6 @@ std::string status_line(const CampaignStatus& s) {
      << " misses=" << s.cache_misses << " snapshots=" << s.snapshots
      << " replayed=" << s.replayed;
   return os.str();
-}
-
-void set_nodelay(int fd) {
-  const int one = 1;
-  // Best-effort; fails harmlessly on Unix-domain sockets.
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 std::string local_instance_id() {
@@ -137,28 +127,23 @@ ServiceEndpoint::ServiceEndpoint(SessionService& service,
       socket_path_(std::move(socket_path)),
       options_(options),
       instance_id_(local_instance_id()) {
-  const bool reactor = options_.mode == EndpointMode::kReactor;
   // The reactor never blocks in accept/read/write, so its sockets are
   // non-blocking from birth (accepted fds get the flag via accept4).
-  const int backlog = reactor ? 512 : 16;
+  constexpr int kBacklog = 512;
   listen_fd_ = listen_service_address(
-      ServiceAddress::unix_socket(socket_path_), backlog, reactor);
+      ServiceAddress::unix_socket(socket_path_), kBacklog);
   if (options_.tcp) {
     EMUTILE_CHECK(options_.tcp->kind == AddressKind::kTcp,
                   "EndpointOptions::tcp must be a tcp address, got "
                       << options_.tcp->to_string());
     try {
-      tcp_listen_fd_ = listen_service_address(*options_.tcp, backlog, reactor);
+      tcp_listen_fd_ = listen_service_address(*options_.tcp, kBacklog);
     } catch (...) {
       ::close(listen_fd_);
       listen_fd_ = -1;
       throw;
     }
     tcp_address_ = bound_service_address(*options_.tcp, tcp_listen_fd_);
-  }
-  if (!reactor) {
-    accept_thread_ = std::thread([this] { accept_loop(); });
-    return;
   }
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
@@ -203,111 +188,29 @@ ServiceEndpoint::ServiceEndpoint(SessionService& service,
 ServiceEndpoint::~ServiceEndpoint() {
   // Detach first: once this returns the service never calls back into this
   // endpoint, however long its campaigns outlive it.
-  if (options_.mode == EndpointMode::kReactor)
-    service_.set_terminal_listener(nullptr);
+  service_.set_terminal_listener(nullptr);
   stopping_.store(true);
-  if (options_.mode == EndpointMode::kReactor) {
-    // Nudge the reactor so it sees the stop flag immediately, then let it
-    // run the drain: in-flight executions finish and flush, readers and
-    // parked waiters get a terminal ERR, every conn fd is closed.
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
-    if (reactor_thread_.joinable()) reactor_thread_.join();
-    // Workers next: the reactor drained every conn, so the exec ring is
-    // empty; pop_wait observes the stop flag and exits.
-    workers_stop_.store(true);
-    exec_queue_->notify_all();
-    done_queue_->notify_all();
-    for (std::thread& t : worker_threads_) t.join();
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-    if (wake_fd_ >= 0) ::close(wake_fd_);
-    if (listen_fd_ >= 0) ::close(listen_fd_);  // normally closed by the drain
-    if (tcp_listen_fd_ >= 0) ::close(tcp_listen_fd_);
-  } else {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (tcp_listen_fd_ >= 0) ::close(tcp_listen_fd_);
-    // Connection threads are detached; wait for the in-flight ones to finish
-    // (they hold `this` only until they decrement the counter).
-    std::unique_lock<std::mutex> lock(active_mutex_);
-    active_drained_.wait(lock, [this] { return active_connections_ == 0; });
-  }
+  // Nudge the reactor so it sees the stop flag immediately, then let it run
+  // the drain: in-flight executions finish and flush, readers and parked
+  // waiters get a terminal ERR, every conn fd is closed.
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
+  if (reactor_thread_.joinable()) reactor_thread_.join();
+  // Workers next: the reactor drained every conn, so the exec ring is empty;
+  // pop_wait observes the stop flag and exits.
+  workers_stop_.store(true);
+  exec_queue_->notify_all();
+  done_queue_->notify_all();
+  for (std::thread& t : worker_threads_) t.join();
+  ::close(epoll_fd_);
+  ::close(wake_fd_);
+  if (listen_fd_ >= 0) ::close(listen_fd_);  // normally closed by the drain
+  if (tcp_listen_fd_ >= 0) ::close(tcp_listen_fd_);
   std::error_code ec;
   std::filesystem::remove(socket_path_, ec);
 }
 
-// ---- legacy thread-per-connection mode -------------------------------------
-
-void ServiceEndpoint::accept_loop() {
-  while (!stopping_.load()) {
-    pollfd pfds[2] = {{listen_fd_, POLLIN, 0}, {tcp_listen_fd_, POLLIN, 0}};
-    const nfds_t nfds = tcp_listen_fd_ >= 0 ? 2 : 1;
-    const int ready = ::poll(pfds, nfds, 100);  // 100 ms stop-flag cadence
-    if (ready <= 0) continue;
-    for (nfds_t i = 0; i < nfds; ++i) {
-      if (!(pfds[i].revents & POLLIN)) continue;
-      const int fd = ::accept(pfds[i].fd, nullptr, nullptr);
-      if (fd < 0) continue;
-      set_nodelay(fd);
-      MetricsRegistry::global().counter("endpoint.connections").add();
-      {
-        // Registered before the thread exists so the destructor can never
-        // observe zero while a connection is starting up.
-        std::lock_guard<std::mutex> lock(active_mutex_);
-        ++active_connections_;
-      }
-      MetricsRegistry::global().gauge("endpoint.connections_active").add();
-      try {
-        std::thread([this, fd] { serve_connection(fd); }).detach();
-      } catch (const std::system_error&) {
-        {
-          std::lock_guard<std::mutex> lock(active_mutex_);
-          --active_connections_;
-        }
-        MetricsRegistry::global().gauge("endpoint.connections_active").sub();
-        ::close(fd);
-      }
-    }
-  }
-}
-
-void ServiceEndpoint::serve_connection(int fd) {
-  std::string request;
-  std::string response = "ERR request read failed\n";
-  if (fd_read_all(fd, request, kRequestReadTimeoutMs, &stopping_)) {
-    const auto start = std::chrono::steady_clock::now();
-    try {
-      response = handle_request(request);
-    } catch (const std::exception& e) {
-      MetricsRegistry::global().counter("endpoint.errors").add();
-      response = std::string("ERR ") + e.what() + "\n";
-    }
-    const auto elapsed_us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-    if (elapsed_us > slow_request_us_.load()) {
-      std::istringstream line(request);
-      std::string command;
-      line >> command;
-      MetricsRegistry::global().counter("endpoint.slow_requests").add();
-      EMUTILE_WARN("slow request: " << command << " took "
-                                    << elapsed_us / 1000 << " ms (threshold "
-                                    << slow_request_us_.load() / 1000
-                                    << " ms)");
-    }
-  } else {
-    MetricsRegistry::global().counter("endpoint.read_timeouts").add();
-  }
-  fd_write_all(fd, response);
-  ::close(fd);
-  MetricsRegistry::global().gauge("endpoint.connections_active").sub();
-  std::lock_guard<std::mutex> lock(active_mutex_);
-  --active_connections_;
-  active_drained_.notify_all();
-}
-
-// ---- reactor mode ----------------------------------------------------------
+// ---- the reactor -----------------------------------------------------------
 
 void ServiceEndpoint::reactor_loop() {
   std::vector<epoll_event> events(128);
@@ -601,7 +504,7 @@ void ServiceEndpoint::reactor_shutdown_drain() {
     ::close(tcp_listen_fd_);
     tcp_listen_fd_ = -1;
   }
-  // Readers cannot complete anymore; answer like the legacy stop path.
+  // Readers cannot complete anymore: answer them with a read failure.
   // Persistent connections between exchanges just close — their client
   // treats a dropped channel as "re-dial later" anyway.
   std::vector<Conn*> readers;
@@ -759,7 +662,7 @@ std::string ServiceEndpoint::handle_request(const std::string& request) {
   // handler, including service calls and disk reads — what a client feels.
   MetricsRegistry& reg = MetricsRegistry::global();
   const std::string series = known_command(command) ? command : "OTHER";
-  // Reactor-mode WAITs are counted by execute() (they never reach here).
+  // WAITs are counted by execute() (they never reach here).
   reg.counter("endpoint.requests." + series).add();
   const ScopedLatency latency(reg.histogram("endpoint.request_us." + series));
 
@@ -801,10 +704,7 @@ std::string ServiceEndpoint::handle_request(const std::string& request) {
     // the v1 subset — rolling upgrades degrade explicitly, not accidentally.
     std::ostringstream os;
     os << "OK proto=" << kWireProtocolVersion << " id=" << instance_id_
-       << " mode="
-       << (options_.mode == EndpointMode::kReactor ? "reactor" : "legacy")
-       << " caps=oneshot";
-    if (options_.mode == EndpointMode::kReactor) os << ",persist";
+       << " mode=reactor caps=oneshot,persist";
     if (tcp_address_) os << ",tcp";
     os << "\n";
     return os.str();
@@ -847,18 +747,6 @@ std::string ServiceEndpoint::handle_request(const std::string& request) {
     if (!(line >> id)) return "ERR CANCEL needs a campaign id\n";
     if (!service_.cancel(id)) return "ERR unknown campaign '" + id + "'\n";
     return "OK cancelled\n";
-  } else if (command == "WAIT") {
-    std::string id;
-    if (!(line >> id)) return "ERR WAIT needs a campaign id\n";
-    // Legacy mode only (the reactor parks WAITs in execute() instead). Poll
-    // so ~ServiceEndpoint (which drains this connection thread) can
-    // interrupt the wait: with the daemon tearing down before the service,
-    // the waited-on state change may only happen after the endpoint is gone
-    // — blocking here indefinitely would deadlock shutdown.
-    while (!service_.wait_for(id, std::chrono::milliseconds(100)))
-      if (stopping_.load()) return "ERR service shutting down\n";
-    const std::optional<CampaignStatus> s = service_.status(id);
-    return std::string("OK ") + (s ? to_string(s->state) : "unknown") + "\n";
   } else if (command == "SHARDREPORT") {
     std::string id;
     if (!(line >> id)) return "ERR SHARDREPORT needs a campaign id\n";

@@ -9,14 +9,16 @@
 /// Requests (first line; SUBMIT carries the spec text as the body):
 ///
 ///   HELLO                        -> OK proto=2 id=<instance-id>
-///                                   mode=<reactor|legacy> caps=<c1,c2,...>
+///                                   mode=reactor caps=<c1,c2,...>
 ///                                   (protocol version, stable instance id,
-///                                   transport capabilities: `oneshot`
-///                                   always, `persist` in reactor mode,
-///                                   `tcp` when a TCP listener is active.
-///                                   Clients probe once per address and
-///                                   degrade gracefully when a pre-HELLO
-///                                   daemon answers `ERR unknown command` —
+///                                   transport capabilities: `oneshot` and
+///                                   `persist` always, `tcp` when a TCP
+///                                   listener is active. Older daemons may
+///                                   answer `mode=legacy` without `persist`;
+///                                   clients then stay one-shot. Clients
+///                                   probe once per address and degrade
+///                                   gracefully when a pre-HELLO daemon
+///                                   answers `ERR unknown command` —
 ///                                   version skew during rolling upgrades is
 ///                                   explicit, not accidental)
 ///   PING                         -> OK pong
@@ -81,37 +83,25 @@
 /// machine code for the distinguished sheds (`busy`, `draining`,
 /// `overdeadline`) — ServiceClient maps them onto ServiceErrorCode.
 ///
-/// Persistent connections (reactor mode only, advertised as the `persist`
-/// HELLO capability): a client that opens with the line `PERSIST\n` gets
+/// Persistent connections (advertised as the `persist` HELLO capability): a
+/// client that opens with the line `PERSIST\n` gets
 /// `OK persist\n` back and the connection then stays open, carrying one
 /// single-line request per exchange (no SUBMIT bodies). Each response is
 /// length-framed as `#<bytes>\n<payload>` so the client can delimit it
 /// without a half-close. This is what spares a coordinator's STATUS polling
 /// loop a dial per tick on TCP.
 ///
-/// Two connection-handling modes, byte-identical on the wire:
-///
-///   kReactor (default)  One epoll-multiplexed reactor thread owns every fd:
-///                       non-blocking accept/read/write, a per-connection
-///                       state machine buffering partial requests, and a
-///                       small worker pool executing complete requests
-///                       (handed over through lock-free MPMC rings, woken by
-///                       an eventfd). Blocking WAITs never pin a worker:
-///                       they "park" in the reactor, indexed by campaign id,
-///                       and the service's terminal listener wakes exactly
-///                       the waiters of a campaign the moment it turns
-///                       terminal, so thousands of simultaneous clients
-///                       (waiters included) fit in a handful of threads. On
-///                       stop the reactor drains: in-flight executions
-///                       finish and flush, readers and parked waiters get a
-///                       terminal ERR, and every fd the endpoint ever owned
-///                       is provably closed.
-///
-///   kThreadPerConnection  The original accept-thread + thread-per-connection
-///                       server. Kept as the A/B baseline for the
-///                       submit-storm bench and the cross-mode byte-identity
-///                       test. One-shot only (no PERSIST — the capability is
-///                       absent from its HELLO).
+/// Connection handling: one epoll-multiplexed reactor thread owns every fd:
+/// non-blocking accept/read/write, a per-connection state machine buffering
+/// partial requests, and a small worker pool executing complete requests
+/// (handed over through lock-free MPMC rings, woken by an eventfd). Blocking
+/// WAITs never pin a worker: they "park" in the reactor, indexed by campaign
+/// id, and the service's terminal listener wakes exactly the waiters of a
+/// campaign the moment it turns terminal, so thousands of simultaneous
+/// clients (waiters included) fit in a handful of threads. On stop the
+/// reactor drains: in-flight executions finish and flush, readers and parked
+/// waiters get a terminal ERR, and every fd the endpoint ever owned is
+/// provably closed.
 ///
 /// The server applies a receive deadline to each request, so a client that
 /// connects and never writes (or never half-closes) gets dropped (counted in
@@ -122,8 +112,6 @@
 /// with the command and duration and count into `endpoint.slow_requests`.
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <filesystem>
@@ -147,15 +135,8 @@ class SessionService;
 /// `ERR unknown command` and clients fall back to the v1 subset.
 inline constexpr int kWireProtocolVersion = 2;
 
-enum class EndpointMode : std::uint8_t {
-  kReactor,              ///< epoll reactor + worker pool (default)
-  kThreadPerConnection,  ///< legacy: one detached thread per connection
-};
-
 struct EndpointOptions {
-  EndpointMode mode = EndpointMode::kReactor;
-  /// Request-execution worker threads (reactor mode only). Small on
-  /// purpose: requests are short (WAIT parks instead of blocking), so a
+  /// Request-execution worker threads. Small on purpose: requests are short (WAIT parks instead of blocking), so a
   /// handful of workers saturate the service core.
   std::size_t workers = 4;
   /// When set (must be kTcp), listen on this TCP address alongside the Unix
@@ -168,9 +149,8 @@ class ServiceEndpoint {
  public:
   /// Bind and listen on `socket_path` (an existing stale socket file is
   /// replaced) — plus `options.tcp` when set — and start serving. Throws
-  /// CheckError on bind failures. A reactor endpoint installs `service`'s
-  /// one terminal listener, so a service serves one reactor endpoint at a
-  /// time.
+  /// CheckError on bind failures. The endpoint installs `service`'s one
+  /// terminal listener, so a service serves one endpoint at a time.
   ServiceEndpoint(SessionService& service, std::filesystem::path socket_path,
                   EndpointOptions options = {});
 
@@ -196,8 +176,6 @@ class ServiceEndpoint {
     return instance_id_;
   }
 
-  [[nodiscard]] EndpointMode mode() const { return options_.mode; }
-
   /// True once a client sent SHUTDOWN. The daemon's main loop polls this.
   [[nodiscard]] bool shutdown_requested() const {
     return shutdown_requested_.load();
@@ -213,14 +191,9 @@ class ServiceEndpoint {
   }
 
  private:
-  // ---- shared (both modes) ----
+  /// Answer one complete request other than WAIT (execute() parks those).
   [[nodiscard]] std::string handle_request(const std::string& request);
 
-  // ---- legacy thread-per-connection mode ----
-  void accept_loop();
-  void serve_connection(int fd);
-
-  // ---- reactor mode ----
   /// Per-connection state machine, owned by the reactor. Workers touch a
   /// connection only between kExecuting hand-off and done-ring hand-back.
   struct Conn;
@@ -263,15 +236,7 @@ class ServiceEndpoint {
   std::atomic<bool> shutdown_requested_{false};
   std::atomic<std::uint64_t> slow_request_us_{1'000'000};
 
-  // Legacy mode.
-  std::thread accept_thread_;
-  // Connection threads are detached so a long-lived daemon never accumulates
-  // joinable threads; this counter lets the destructor drain them.
-  std::mutex active_mutex_;
-  std::condition_variable active_drained_;
-  std::size_t active_connections_ = 0;
-
-  // Reactor mode. The reactor thread owns epoll_fd_, wake_fd_, the listen
+  // The reactor thread owns epoll_fd_, wake_fd_, the listen
   // fds, and every connection fd; workers never see an fd.
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  ///< eventfd: workers and the listener nudge it

@@ -100,7 +100,8 @@ struct SessionService::Campaign {
   std::size_t cache_misses = 0;
   std::size_t snapshots = 0;
   /// Write-ahead journal (out/<id>/journal.wal); null when the spec has no
-  /// canonical form (custom builders). Same contract as the audit journal:
+  /// canonical form (custom builders), and closed (null) once the campaign
+  /// is terminal. Same contract as the audit journal:
   /// thread-safe, inert on IO failure.
   std::unique_ptr<CampaignWalWriter> wal;
   /// Journaled completion records carried from reattach() to prepare_unit,
@@ -111,8 +112,9 @@ struct SessionService::Campaign {
   /// For terminal campaigns re-registered by reattach(): the session count
   /// recovered from the journal (jobs is never re-expanded for them).
   std::size_t sessions_total_hint = 0;
-  /// Audit journal (out/<id>/events.jsonl); null when disabled. Thread-safe
-  /// and inert on IO failure, so units record into it without ceremony.
+  /// Audit journal (out/<id>/events.jsonl); null when disabled and once the
+  /// campaign is terminal. Thread-safe and inert on IO failure, so units
+  /// record into it without ceremony.
   std::unique_ptr<EventJournal> journal;
   /// The campaign.run span's context (left invalid only for campaigns
   /// reattach() re-registers as already complete, which never run again):
@@ -340,6 +342,9 @@ void SessionService::dispatch_campaign(Campaign& c) {
     MetricsRegistry::global().gauge("service.campaigns_active").sub();
     MetricsRegistry::global().counter("service.campaigns_failed").add();
     if (c.journal) c.journal->record("finalize", {{"state", "failed"}});
+    // No unit will ever write to them: a failed campaign holds no fds.
+    c.wal.reset();
+    c.journal.reset();
     EMUTILE_WARN("campaign " << c.id
                              << " could not be started: " << e.what());
     std::lock_guard<std::mutex> lock(mutex_);
@@ -788,13 +793,25 @@ void SessionService::finalize(Campaign& c) {
       error = e.what();
     }
   }
-  if (state == CampaignState::kFailed)
-    write_file_atomic(c.out_dir / "error.txt", error + "\n");
+  if (state == CampaignState::kFailed) {
+    // Best-effort like the trace export below: a throw here would escape
+    // the scheduler unit and terminate the daemon. STATUS still carries the
+    // error.
+    try {
+      write_file_atomic(c.out_dir / "error.txt", error + "\n");
+    } catch (const std::exception& e) {
+      EMUTILE_WARN("campaign " << c.id << ": error.txt write failed: "
+                               << e.what());
+    }
+  }
   if (c.wal) {
     // Written after every report artifact: a journal bearing `complete` is
     // a promise that the reports it describes are on disk.
     EMUTILE_FAULT_POINT("finalize.pre-complete");
     c.wal->complete(to_string(state));
+    // The last record: closing it here keeps a terminal campaign from
+    // holding an fd for the life of the daemon.
+    c.wal.reset();
   }
   {
     MetricsRegistry& reg = MetricsRegistry::global();
@@ -806,10 +823,12 @@ void SessionService::finalize(Campaign& c) {
     else
       reg.counter("service.campaigns_failed").add();
   }
-  if (c.journal)
+  if (c.journal) {
     c.journal->record("finalize", {{"state", to_string(state)},
                                    {"sessions_done", c.sessions_done},
                                    {"cache_hits", c.cache_hits}});
+    c.journal.reset();  // likewise the last record
+  }
   // Close the campaign.run span over [submit, now] and export the
   // campaign's closed spans as Chrome trace-event JSON. A sidecar like
   // the journal: failures are swallowed, and the deterministic report

@@ -94,7 +94,7 @@ TEST(ServiceAddressParse, Ipv6StyleHostsSplitOnTheLastColon) {
 /// actually wired two endpoints together.
 void expect_echo(int listen_fd, const ServiceAddress& dial_to) {
   std::thread server([listen_fd] {
-    // The listener may be non-blocking (reactor use): poll-accept briefly.
+    // The listener is non-blocking: poll-accept briefly.
     int conn = -1;
     for (int i = 0; i < 2000 && conn < 0; ++i) {
       conn = ::accept(listen_fd, nullptr, nullptr);
@@ -124,7 +124,7 @@ TEST(ServiceAddressSockets, UnixListenAndDialExchangeBytes) {
   fs::remove(sock);
   const ServiceAddress addr = ServiceAddress::unix_socket(sock);
   const int listen_fd =
-      listen_service_address(addr, /*backlog=*/4, /*nonblocking=*/true);
+      listen_service_address(addr, /*backlog=*/4);
   ASSERT_GE(listen_fd, 0);
   EXPECT_EQ(bound_service_address(addr, listen_fd), addr);
   expect_echo(listen_fd, addr);
@@ -135,7 +135,7 @@ TEST(ServiceAddressSockets, UnixListenAndDialExchangeBytes) {
 TEST(ServiceAddressSockets, TcpEphemeralPortIsDiscoverableAndDialable) {
   const ServiceAddress requested = ServiceAddress::tcp("127.0.0.1", 0);
   const int listen_fd =
-      listen_service_address(requested, /*backlog=*/4, /*nonblocking=*/true);
+      listen_service_address(requested, /*backlog=*/4);
   ASSERT_GE(listen_fd, 0);
   const ServiceAddress bound = bound_service_address(requested, listen_fd);
   EXPECT_EQ(bound.kind, AddressKind::kTcp);
@@ -150,11 +150,11 @@ TEST(ServiceAddressSockets, StaleUnixSocketFileIsReplacedOnListen) {
       fs::path(::testing::TempDir()) / "emutile-addr-stale.sock";
   const ServiceAddress addr = ServiceAddress::unix_socket(sock);
   const int first =
-      listen_service_address(addr, /*backlog=*/4, /*nonblocking=*/true);
+      listen_service_address(addr, /*backlog=*/4);
   ::close(first);  // fd gone, socket file left behind — a crashed daemon
   ASSERT_TRUE(fs::exists(sock));
   const int second =
-      listen_service_address(addr, /*backlog=*/4, /*nonblocking=*/true);
+      listen_service_address(addr, /*backlog=*/4);
   ASSERT_GE(second, 0) << "a stale socket file must not block a restart";
   expect_echo(second, addr);
   ::close(second);

@@ -430,7 +430,6 @@ TEST(CampaignCoordinator, TcpFleetSurvivesKillPlusJoinMidCampaign) {
   ScratchDir scratch("coord-tcp-elastic");
   const auto tcp_instance = [&](const std::string& name) {
     EndpointOptions endpoint_options;
-    endpoint_options.mode = EndpointMode::kReactor;
     endpoint_options.tcp = ServiceAddress::tcp("127.0.0.1", 0);
     auto host = std::make_unique<InProcessInstance>(
         scratch.path / name, /*threads=*/1, /*attach=*/false,

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -935,55 +936,38 @@ TEST(SessionService, QosAdmissionShedsOverQuotaAndPastDeadlineSubmits) {
             direct.to_json());
 }
 
-TEST(SessionService, ReactorAndLegacyEndpointsAreByteIdenticalOnTheWire) {
+TEST(SessionService, EndpointRepliesAndReportsAreByteExact) {
   const std::string text = small_spec_text("9sym", 47);
-  std::array<std::string, 2> reports_json;
-  std::array<std::string, 2> reports_csv;
-  std::array<std::string, 2> waits;
-  for (const EndpointMode mode :
-       {EndpointMode::kReactor, EndpointMode::kThreadPerConnection}) {
-    const bool reactor = mode == EndpointMode::kReactor;
-    ScratchDir scratch(reactor ? "service-ab-reactor" : "service-ab-legacy");
-    ServiceConfig config;
-    config.root = scratch.path;
-    config.num_threads = 2;
-    config.snapshot_every = 0;
-    SessionService service(config);
-    EndpointOptions options;
-    options.mode = mode;
-    ServiceEndpoint endpoint(service, scratch.path / "serviced.sock",
-                             options);
-    EXPECT_EQ(endpoint.mode(), mode);
+  ScratchDir scratch("service-wire-bytes");
+  ServiceConfig config;
+  config.root = scratch.path;
+  config.num_threads = 2;
+  config.snapshot_every = 0;
+  SessionService service(config);
+  ServiceEndpoint endpoint(service, scratch.path / "serviced.sock");
 
-    // Identical command surface in both modes.
-    EXPECT_EQ(endpoint_request(endpoint.socket_path(), "PING\n"),
-              "OK pong\n");
-    EXPECT_EQ(endpoint_request(endpoint.socket_path(), "BOGUS\n"),
-              "ERR unknown command 'BOGUS'\n");
-    EXPECT_EQ(endpoint_request(endpoint.socket_path(), "WAIT\n"),
-              "ERR WAIT needs a campaign id\n");
-    EXPECT_EQ(endpoint_request(endpoint.socket_path(), "STATUS nope\n"),
-              "ERR unknown campaign 'nope'\n");
+  EXPECT_EQ(endpoint_request(endpoint.socket_path(), "PING\n"), "OK pong\n");
+  EXPECT_EQ(endpoint_request(endpoint.socket_path(), "BOGUS\n"),
+            "ERR unknown command 'BOGUS'\n");
+  EXPECT_EQ(endpoint_request(endpoint.socket_path(), "WAIT\n"),
+            "ERR WAIT needs a campaign id\n");
+  EXPECT_EQ(endpoint_request(endpoint.socket_path(), "STATUS nope\n"),
+            "ERR unknown campaign 'nope'\n");
 
-    std::ostringstream request;
-    request << "SUBMIT 0 ab\n" << text;
-    const std::string submitted =
-        endpoint_request(endpoint.socket_path(), request.str());
-    ASSERT_EQ(submitted.rfind("OK ab-", 0), 0u) << submitted;
-    const std::string id = submitted.substr(3, submitted.find('\n') - 3);
-    const std::size_t slot = reactor ? 0 : 1;
-    waits[slot] =
-        endpoint_request(endpoint.socket_path(), "WAIT " + id + "\n");
-    reports_json[slot] = read_file(scratch.path / "out" / id / "report.json");
-    reports_csv[slot] = read_file(scratch.path / "out" / id / "report.csv");
-  }
-  EXPECT_EQ(waits[0], "OK finished\n");
-  EXPECT_EQ(waits[0], waits[1]);
-  EXPECT_EQ(reports_json[0], reports_json[1])
-      << "the endpoint mode must never leak into campaign results";
-  EXPECT_EQ(reports_csv[0], reports_csv[1]);
+  std::ostringstream request;
+  request << "SUBMIT 0 ab\n" << text;
+  const std::string submitted =
+      endpoint_request(endpoint.socket_path(), request.str());
+  ASSERT_EQ(submitted.rfind("OK ab-", 0), 0u) << submitted;
+  const std::string id = submitted.substr(3, submitted.find('\n') - 3);
+  EXPECT_EQ(endpoint_request(endpoint.socket_path(), "WAIT " + id + "\n"),
+            "OK finished\n");
   const CampaignReport direct = run_campaign(parse_campaign_spec(text));
-  EXPECT_EQ(reports_json[0], direct.to_json());
+  EXPECT_EQ(read_file(scratch.path / "out" / id / "report.json"),
+            direct.to_json())
+      << "the serving layer must never leak into campaign results";
+  EXPECT_EQ(read_file(scratch.path / "out" / id / "report.csv"),
+            direct.to_csv());
 }
 
 TEST(SessionService, ReactorServesManyConcurrentClientsAndParkedWaits) {
@@ -1148,36 +1132,83 @@ TEST(SessionService, DestroyedEndpointAnswersParkedWaitsAndDetaches) {
   EXPECT_EQ(service.status(id)->state, CampaignState::kCancelled);
 }
 
-TEST(SessionService, EndpointLeaksNoFileDescriptorsInEitherMode) {
+TEST(SessionService, EndpointLeaksNoFileDescriptors) {
   using test::open_fd_count;
-  for (const EndpointMode mode :
-       {EndpointMode::kReactor, EndpointMode::kThreadPerConnection}) {
-    ScratchDir scratch(mode == EndpointMode::kReactor ? "service-fd-reactor"
-                                                      : "service-fd-legacy");
-    ServiceConfig config;
-    config.root = scratch.path;
-    config.num_threads = 1;
-    config.snapshot_every = 0;
-    SessionService service(config);
-    const std::size_t before = open_fd_count();
-    {
-      EndpointOptions options;
-      options.mode = mode;
-      ServiceEndpoint endpoint(service, scratch.path / "serviced.sock",
-                               options);
-      std::vector<std::thread> clients;
-      for (int i = 0; i < 8; ++i)
-        clients.emplace_back([&] {
-          for (int j = 0; j < 16; ++j)
-            static_cast<void>(
-                endpoint_request(endpoint.socket_path(), "PING\n"));
-        });
-      for (std::thread& t : clients) t.join();
-    }
-    EXPECT_EQ(open_fd_count(), before)
-        << "endpoint mode " << static_cast<int>(mode)
-        << " leaked file descriptors";
+  ScratchDir scratch("service-fd-endpoint");
+  ServiceConfig config;
+  config.root = scratch.path;
+  config.num_threads = 1;
+  config.snapshot_every = 0;
+  SessionService service(config);
+  const std::size_t before = open_fd_count();
+  {
+    ServiceEndpoint endpoint(service, scratch.path / "serviced.sock");
+    std::vector<std::thread> clients;
+    for (int i = 0; i < 8; ++i)
+      clients.emplace_back([&] {
+        for (int j = 0; j < 16; ++j)
+          static_cast<void>(
+              endpoint_request(endpoint.socket_path(), "PING\n"));
+      });
+    for (std::thread& t : clients) t.join();
   }
+  EXPECT_EQ(open_fd_count(), before) << "the endpoint leaked descriptors";
+}
+
+TEST(SessionService, FinishedCampaignsHoldNoFileDescriptors) {
+  // A terminal campaign has written its last journal records; a daemon
+  // serving campaigns for days must not keep those files open. The count
+  // after 500 more warm campaigns equals the count after the first 10.
+  using test::open_fd_count;
+  ScratchDir scratch("service-fd-campaigns");
+  ServiceConfig config;
+  config.root = scratch.path;
+  config.num_threads = 2;
+  config.snapshot_every = 0;
+  SessionService service(config);
+  const std::string text = small_spec_text("9sym", 89, 1);
+  const auto run = [&](int campaigns) {
+    for (int i = 0; i < campaigns; ++i) {
+      const std::string id = service.submit_text(text, 0, "warm");
+      service.wait(id);
+      ASSERT_EQ(service.status(id)->state, CampaignState::kFinished);
+    }
+  };
+  run(10);
+  const std::size_t warm = open_fd_count();
+  run(500);
+  EXPECT_EQ(open_fd_count(), warm)
+      << "finished campaigns keep their journal files open";
+}
+
+TEST(SessionService, FailedFinalizeFailsTheCampaignNotTheDaemon) {
+  // A campaign whose report cannot be published fails; when even its
+  // error.txt cannot be written, the service logs it and carries on — the
+  // error still reaches STATUS and the next campaign is served.
+  ScratchDir scratch("service-finalize-fails");
+  ServiceConfig config;
+  config.root = scratch.path;
+  config.num_threads = 2;
+  config.snapshot_every = 0;
+  config.enable_cache = false;  // sessions really run: ample time to plant
+  SessionService service(config);
+  const std::string doomed =
+      service.submit_text(small_spec_text("9sym", 97, 50), 0, "doomed");
+  const fs::path out = service.status(doomed)->out_dir;
+  fs::create_directories(out / "report.json");
+  fs::create_directories(out / "error.txt");
+  ASSERT_TRUE(service.cancel(doomed));
+  service.wait(doomed);
+  const auto failed = service.status(doomed);
+  EXPECT_EQ(failed->state, CampaignState::kFailed);
+  EXPECT_NE(failed->error.find("report.json"), std::string::npos)
+      << failed->error;
+
+  const std::string next =
+      service.submit_text(small_spec_text("9sym", 98, 1), 0, "next");
+  service.wait(next);
+  EXPECT_EQ(service.status(next)->state, CampaignState::kFinished)
+      << service.status(next)->error;
 }
 
 // ---------------------------------------------------------- observability ---
@@ -1387,59 +1418,50 @@ TEST(SessionService, SubmitTraceparentPropagatesThroughToCampaignSpans) {
       << journal;
 }
 
-TEST(SessionService, TraceSpansFiltersToOneTraceInBothModes) {
-  for (const EndpointMode mode :
-       {EndpointMode::kReactor, EndpointMode::kThreadPerConnection}) {
-    const bool reactor = mode == EndpointMode::kReactor;
-    ScratchDir scratch(reactor ? "service-spans-reactor"
-                               : "service-spans-legacy");
-    Tracer::global().reset();
-    ServiceConfig config;
-    config.root = scratch.path;
-    config.num_threads = 2;
-    config.snapshot_every = 0;
-    SessionService service(config);
-    EndpointOptions options;
-    options.mode = mode;
-    ServiceEndpoint endpoint(service, scratch.path / "serviced.sock",
-                             options);
-    const ServiceClient client(endpoint.socket_path());
+TEST(SessionService, TraceSpansFiltersToOneTrace) {
+  ScratchDir scratch("service-spans-filter");
+  Tracer::global().reset();
+  ServiceConfig config;
+  config.root = scratch.path;
+  config.num_threads = 2;
+  config.snapshot_every = 0;
+  SessionService service(config);
+  ServiceEndpoint endpoint(service, scratch.path / "serviced.sock");
+  const ServiceClient client(endpoint.socket_path());
 
-    const TraceContext upstream{0x0badcafe0badcafeull, 0x5678567856785678ull};
-    const std::string id =
-        client.submit(small_spec_text("9sym", 73), 0, "filtered",
-                      format_traceparent(upstream));
-    static_cast<void>(client.wait(id));
-    // An open span in the same trace: the filter leaves it out, the bare
-    // command (which the console reads) still carries it.
-    const ScopedSpan open_span(Tracer::global(), "test.still_open", upstream);
+  const TraceContext upstream{0x0badcafe0badcafeull, 0x5678567856785678ull};
+  const std::string id = client.submit(small_spec_text("9sym", 73), 0,
+                                       "filtered",
+                                       format_traceparent(upstream));
+  static_cast<void>(client.wait(id));
+  // An open span in the same trace: the filter leaves it out, the bare
+  // command (which the console reads) still carries it.
+  const ScopedSpan open_span(Tracer::global(), "test.still_open", upstream);
 
-    const RemoteTraceSpans filtered =
-        client.fetch_trace_spans(upstream.trace_id);
-    const std::vector<TraceSpan> expected =
-        Tracer::global().collect_trace(upstream.trace_id,
-                                       /*include_open=*/false);
-    ASSERT_FALSE(expected.empty());
-    EXPECT_EQ(trace_spans_to_text(filtered.spans),
-              trace_spans_to_text(expected))
-        << "TRACESPANS <id> must equal collect_trace(id, false), in order";
+  const RemoteTraceSpans filtered = client.fetch_trace_spans(upstream.trace_id);
+  const std::vector<TraceSpan> expected =
+      Tracer::global().collect_trace(upstream.trace_id,
+                                     /*include_open=*/false);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(trace_spans_to_text(filtered.spans),
+            trace_spans_to_text(expected))
+      << "TRACESPANS <id> must equal collect_trace(id, false), in order";
 
-    const RemoteTraceSpans bare = client.fetch_trace_spans();
-    EXPECT_GT(bare.spans.size(), filtered.spans.size());
-    EXPECT_TRUE(std::any_of(bare.spans.begin(), bare.spans.end(),
-                            [](const TraceSpan& span) {
-                              return span.open &&
-                                     span.name == "test.still_open";
-                            }))
-        << "bare TRACESPANS must keep the open spans";
+  const RemoteTraceSpans bare = client.fetch_trace_spans();
+  EXPECT_GT(bare.spans.size(), filtered.spans.size());
+  EXPECT_TRUE(std::any_of(bare.spans.begin(), bare.spans.end(),
+                          [](const TraceSpan& span) {
+                            return span.open &&
+                                   span.name == "test.still_open";
+                          }))
+      << "bare TRACESPANS must keep the open spans";
 
-    for (const char* malformed :
-         {"TRACESPANS xyz\n", "TRACESPANS 0badcafe\n",
-          "TRACESPANS 0000000000000000\n"}) {
-      const std::string reply =
-          endpoint_request(endpoint.socket_path(), malformed);
-      EXPECT_EQ(reply.rfind("ERR ", 0), 0u) << malformed << " -> " << reply;
-    }
+  for (const char* malformed :
+       {"TRACESPANS xyz\n", "TRACESPANS 0badcafe\n",
+        "TRACESPANS 0000000000000000\n"}) {
+    const std::string reply =
+        endpoint_request(endpoint.socket_path(), malformed);
+    EXPECT_EQ(reply.rfind("ERR ", 0), 0u) << malformed << " -> " << reply;
   }
 }
 
@@ -1546,7 +1568,6 @@ TEST(SessionService, HelloAdvertisesProtocolAndTransportCaps) {
   SessionService service(config);
 
   EndpointOptions options;
-  options.mode = EndpointMode::kReactor;
   options.tcp = ServiceAddress::tcp("127.0.0.1", 0);
   ServiceEndpoint endpoint(service, scratch.path / "serviced.sock", options);
 
@@ -1572,58 +1593,103 @@ TEST(SessionService, HelloAdvertisesProtocolAndTransportCaps) {
   EXPECT_TRUE(hello.has_cap("persist"));
   EXPECT_TRUE(hello.has_cap("tcp"));
   EXPECT_FALSE(hello.has_cap("warp-drive"));
-
-  // Legacy mode: no reactor, no TCP — caps shrink to the one-shot baseline.
-  ServiceConfig legacy_config;
-  legacy_config.root = scratch.path / "legacy";
-  legacy_config.num_threads = 1;
-  SessionService legacy_service(legacy_config);
-  EndpointOptions legacy_options;
-  legacy_options.mode = EndpointMode::kThreadPerConnection;
-  ServiceEndpoint legacy(legacy_service, legacy_config.root / "serviced.sock",
-                         legacy_options);
-  EXPECT_EQ(endpoint_request(legacy.socket_path(), "HELLO\n"),
-            "OK proto=2 id=" + legacy.instance_id() +
-                " mode=legacy caps=oneshot\n");
 }
+
+/// An older daemon on a Unix socket: one-shot only, answering each request
+/// with `reply(request)` and recording every request it saw.
+class FakeDaemon {
+ public:
+  FakeDaemon(const fs::path& sock,
+             std::function<std::string(const std::string&)> reply)
+      : address_(ServiceAddress::unix_socket(sock)),
+        listen_fd_(listen_service_address(address_, /*backlog=*/4)),
+        thread_([this, reply = std::move(reply)] {
+          while (!stop_.load()) {
+            const int conn = ::accept(listen_fd_, nullptr, nullptr);
+            if (conn < 0) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+              continue;
+            }
+            std::string request;
+            fd_read_all(conn, request, /*timeout_ms=*/5'000);
+            {
+              std::lock_guard<std::mutex> lock(mutex_);
+              requests_.push_back(request);
+            }
+            fd_write_all(conn, reply(request));
+            ::close(conn);
+          }
+        }) {}
+  ~FakeDaemon() {
+    stop_.store(true);
+    thread_.join();
+    ::close(listen_fd_);
+  }
+  FakeDaemon(const FakeDaemon&) = delete;
+  FakeDaemon& operator=(const FakeDaemon&) = delete;
+
+  [[nodiscard]] const ServiceAddress& address() const { return address_; }
+  [[nodiscard]] std::vector<std::string> requests() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return requests_;
+  }
+
+ private:
+  ServiceAddress address_;
+  int listen_fd_;
+  std::atomic<bool> stop_{false};
+  std::mutex mutex_;
+  std::vector<std::string> requests_;
+  std::thread thread_;  ///< last: starts once every member above exists
+};
 
 TEST(SessionService, HelloDegradesGracefullyAgainstPreV2Daemons) {
   ScratchDir scratch("service-hello-fallback");
-  const fs::path sock = scratch.path / "old-daemon.sock";
-
-  // A minimal pre-HELLO daemon: answers PING, rejects HELLO the way the
-  // v1 line protocol did — `ERR unknown command` — and nothing else.
-  const ServiceAddress addr = ServiceAddress::unix_socket(sock);
-  const int listen_fd =
-      listen_service_address(addr, /*backlog=*/4, /*nonblocking=*/true);
-  std::atomic<bool> stop{false};
-  std::thread old_daemon([listen_fd, &stop] {
-    while (!stop.load()) {
-      const int conn = ::accept(listen_fd, nullptr, nullptr);
-      if (conn < 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        continue;
-      }
-      std::string request;
-      fd_read_all(conn, request, /*timeout_ms=*/5'000);
-      if (request.rfind("PING", 0) == 0)
-        fd_write_all(conn, "OK pong\n");
-      else
-        fd_write_all(conn, "ERR unknown command 'HELLO'\n");
-      ::close(conn);
-    }
-  });
-
-  ServiceClient client(addr, /*timeout_ms=*/5'000);
-  client.set_persistent(true);  // must silently stay one-shot on a v1 daemon
-  EXPECT_FALSE(client.hello().supported);
-  EXPECT_EQ(client.hello().proto, 1);
-  // The probe must not poison the client: v1 commands still work.
-  EXPECT_TRUE(client.ping());
-
-  stop.store(true);
-  old_daemon.join();
-  ::close(listen_fd);
+  {
+    // A minimal pre-HELLO daemon: answers PING, rejects HELLO the way the
+    // v1 line protocol did — `ERR unknown command` — and nothing else.
+    FakeDaemon old_daemon(
+        scratch.path / "v1-daemon.sock", [](const std::string& request) {
+          return request.rfind("PING", 0) == 0
+                     ? std::string("OK pong\n")
+                     : std::string("ERR unknown command 'HELLO'\n");
+        });
+    ServiceClient client(old_daemon.address(), /*timeout_ms=*/5'000);
+    client.set_persistent(true);  // must silently stay one-shot on v1
+    EXPECT_FALSE(client.hello().supported);
+    EXPECT_EQ(client.hello().proto, 1);
+    // The probe must not poison the client: v1 commands still work.
+    EXPECT_TRUE(client.ping());
+  }
+  {
+    // A v2 daemon without `persist`, as an older daemon may answer during a
+    // rolling upgrade: a persistent client must read the caps and stay
+    // one-shot.
+    FakeDaemon legacy(
+        scratch.path / "legacy-daemon.sock", [](const std::string& request) {
+          if (request.rfind("HELLO", 0) == 0)
+            return std::string("OK proto=2 id=x mode=legacy caps=oneshot\n");
+          if (request.rfind("STATUS c-1", 0) == 0)
+            return std::string(
+                "OK c-1 finished 2/2 hits=2 misses=0 snapshots=0 "
+                "replayed=0 uptime_s=5 queued=0 running=0 draining=0\n");
+          if (request.rfind("PING", 0) == 0) return std::string("OK pong\n");
+          return std::string("ERR unknown command\n");
+        });
+    ServiceClient client(legacy.address(), /*timeout_ms=*/5'000);
+    client.set_persistent(true);
+    EXPECT_TRUE(client.hello().supported);
+    EXPECT_EQ(client.hello().mode, "legacy");
+    EXPECT_FALSE(client.hello().has_cap("persist"));
+    const RemoteCampaignStatus status = client.status("c-1");
+    EXPECT_EQ(status.state, "finished");
+    EXPECT_EQ(status.sessions_done, 2u);
+    EXPECT_TRUE(client.ping());
+    for (const std::string& request : legacy.requests())
+      EXPECT_EQ(request.rfind("PERSIST", 0), std::string::npos)
+          << "a daemon without `persist` must never see PERSIST";
+    EXPECT_EQ(legacy.requests().size(), 3u) << "HELLO, STATUS, PING";
+  }
 
   // A dead address also reads as "not supported", never a throw.
   ServiceClient dead(ServiceAddress::unix_socket(scratch.path / "no.sock"),
@@ -1640,10 +1706,8 @@ TEST(SessionService, PersistentClientReusesOneConnection) {
   config.snapshot_every = 0;
   SessionService service(config);
 
-  EndpointOptions options;
-  options.mode = EndpointMode::kReactor;
   auto endpoint = std::make_unique<ServiceEndpoint>(
-      service, scratch.path / "serviced.sock", options);
+      service, scratch.path / "serviced.sock");
 
   const std::uint64_t handshakes_before =
       MetricsRegistry::global().counter("endpoint.persistent").value();

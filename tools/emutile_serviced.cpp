@@ -21,7 +21,7 @@
 ///                      [--socket PATH] [--tcp HOST:PORT]
 ///                      [--max-pending N] [--quota N]
 ///                      [--deadline-default-ms N]
-///                      [--endpoint reactor|legacy] [--endpoint-workers N]
+///                      [--endpoint-workers N]
 ///                      [--once] [--no-drain] [--no-journal]
 ///                      [--slow-request-ms N] [--slow-session-multiple X]
 ///                      [--log-level debug|info|warn|error|off]
@@ -42,9 +42,8 @@
 ///                        Port 0 picks a free port; the bound address is
 ///                        written to <root>/serviced.tcp either way, so
 ///                        scripts can discover it
-///   --endpoint M         connection handling: `reactor` (default; epoll +
-///                        worker pool) or `legacy` (thread per connection)
-///   --endpoint-workers N reactor request-execution workers (default 4)
+///   --endpoint-workers N request-execution workers behind the endpoint's
+///                        epoll reactor (default 4)
 ///   --cache-max-bytes N  bound the result cache to N bytes of entries;
 ///                        oldest-mtime entries are evicted past the bound
 ///                        (0 = unbounded)
@@ -97,7 +96,6 @@ int usage(const char* argv0) {
                " [--baseline-cache-entries N] [--no-socket] [--socket PATH]"
                " [--tcp HOST:PORT]"
                " [--max-pending N] [--quota N] [--deadline-default-ms N]"
-               " [--endpoint reactor|legacy]"
                " [--endpoint-workers N] [--attach] [--once] [--no-drain]"
                " [--no-journal]"
                " [--slow-request-ms N] [--slow-session-multiple X]"
@@ -138,15 +136,6 @@ int main(int argc, char** argv) {
     else if (arg == "--quota") config.session_quota = std::strtoull(value(), nullptr, 10);
     else if (arg == "--deadline-default-ms") config.deadline_default_ms = std::strtoull(value(), nullptr, 10);
     else if (arg == "--endpoint-workers") endpoint_options.workers = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--endpoint") {
-      const std::string mode = value();
-      if (mode == "reactor") endpoint_options.mode = EndpointMode::kReactor;
-      else if (mode == "legacy") endpoint_options.mode = EndpointMode::kThreadPerConnection;
-      else {
-        std::cerr << "--endpoint wants reactor|legacy\n";
-        return 2;
-      }
-    }
     else if (arg == "--cache-max-bytes") config.cache_max_bytes = std::strtoull(value(), nullptr, 10);
     else if (arg == "--baseline-cache-entries") config.baseline_cache_entries = std::strtoull(value(), nullptr, 10);
     else if (arg == "--no-cache") config.enable_cache = false;
@@ -210,10 +199,7 @@ int main(int argc, char** argv) {
     if (config.enable_cache && config.cache_max_bytes > 0)
       std::cout << " cache_max_bytes=" << config.cache_max_bytes;
     if (endpoint) {
-      std::cout << " socket=" << endpoint->socket_path().string()
-                << " endpoint="
-                << (endpoint->mode() == EndpointMode::kReactor ? "reactor"
-                                                               : "legacy");
+      std::cout << " socket=" << endpoint->socket_path().string();
       if (endpoint->tcp_address())
         std::cout << " tcp=" << endpoint->tcp_address()->to_string();
     }
