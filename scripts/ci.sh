@@ -41,8 +41,8 @@
 #                the per-scenario CSV lands in build/bench-smoke/ for the
 #                workflow to upload as an artifact. Ends with daemon_smoke
 #                (one daemon on its Unix socket, one spec submitted cold
-#                then warm with emutile_submit --wait: identical reports,
-#                cache hits) and fleet_smoke: a real 3-daemon fleet on TCP
+#                then warm with emutile_submit --wait and once through
+#                --spool: identical reports, cache hits) and fleet_smoke: a real 3-daemon fleet on TCP
 #                loopback (ephemeral ports read back from each daemon's
 #                serviced.tcp file) driven through emutile_orchestrate,
 #                asserting the merged report and the stitched fleet trace,
@@ -183,9 +183,10 @@ EOF
 # One daemon on its Unix socket, one spec submitted twice through
 # emutile_submit --wait: cold, then warm from the result cache. Each WAIT
 # parks in the reactor until its campaign turns terminal, so this drives the
-# real binary's WAIT wake-up path. A functional check, not a timing gate:
-# both submissions must finish, the two reports must be byte-identical, and
-# the daemon's cache must report hits. `timeout` turns a WAIT that is never
+# real binary's WAIT wake-up path. Then the same spec once more through
+# emutile_submit --spool, the daemon's file-drop intake. A functional check,
+# not a timing gate: every submission must finish, the reports must be
+# byte-identical, and the daemon's cache must report hits. `timeout` turns a WAIT that is never
 # answered into a failure instead of a hung job. The daemon runs under a
 # 256-descriptor limit and then serves 300 more warm resubmits: a daemon
 # that kept finished campaigns' files open would run out of descriptors
@@ -220,6 +221,24 @@ daemon_smoke() {
     ids+=("$(sed -n 's/^.* -> \([^ ]*\).*$/\1/p' "$dir/$run.log")")
   done
   cmp "$dir/out/${ids[0]}/report.json" "$dir/out/${ids[1]}/report.json"
+
+  # The daemon's spool intake through the real binaries: the same spec
+  # dropped into <root>/spool runs under an id that starts with the spooled
+  # file's stem, and must report what the socket run reported.
+  local spooled
+  spooled=$(./build/emutile_submit --root "$dir" --spool "$dir/smoke.spec" \
+              | tee "$dir/spool.log" \
+              | sed -n 's/^.* -> spooled as \([^ ]*\)\.spec.*$/\1/p')
+  [[ -n $spooled ]] || { echo "daemon_smoke: spool submission failed" >&2
+                         return 1; }
+  if ! timeout 300 bash -c "until compgen -G '$dir/out/$spooled-*/report.json' \
+                              > /dev/null; do sleep 0.1; done"; then
+    echo "daemon_smoke: spooled campaign $spooled never reported" >&2
+    cat "$dir/daemon.log" >&2
+    return 1
+  fi
+  cmp "$dir/out/${ids[0]}/report.json" "$dir/out/$spooled"-*/report.json
+
   ./build/emutile_submit --root "$dir" --cache | tee "$dir/cache.log"
   local hits
   hits=$(sed -n 's/^OK .* hits=\([0-9]*\) .*$/\1/p' "$dir/cache.log")
@@ -239,8 +258,8 @@ daemon_smoke() {
 
   stop_daemon
   trap - RETURN
-  echo "daemon_smoke: cold and warm reports identical, cache hits=$hits," \
-       "300 resubmits finished under a 256-fd limit"
+  echo "daemon_smoke: cold, warm and spooled reports identical," \
+       "cache hits=$hits, 300 resubmits finished under a 256-fd limit"
 }
 
 # A real 3-instance fleet end to end, over TCP loopback: three daemons on

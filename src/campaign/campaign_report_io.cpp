@@ -6,6 +6,7 @@
 #include "campaign/campaign_spec_io.hpp"
 #include "util/check.hpp"
 #include "util/file_io.hpp"
+#include "util/parse_number.hpp"
 
 namespace emutile {
 
@@ -57,11 +58,10 @@ struct ReportReader {
 
   std::uint64_t u64(const char* what) {
     const std::string w = word(what);
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(w.c_str(), &end, 10);
-    if (end == w.c_str() || *end != '\0' || w[0] == '-')
+    const auto v = parse_number<std::uint64_t>(w);
+    if (!v)
       fail(std::string("bad unsigned integer for ") + what + ": '" + w + "'");
-    return v;
+    return *v;
   }
 
   double real(const char* what) {

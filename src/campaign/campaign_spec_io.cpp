@@ -9,6 +9,7 @@
 #include "designs/catalog.hpp"
 #include "util/check.hpp"
 #include "util/file_io.hpp"
+#include "util/parse_number.hpp"
 
 namespace emutile {
 
@@ -73,11 +74,10 @@ struct LineParser {
 
   std::uint64_t u64(const char* what) {
     const std::string w = word(what);
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(w.c_str(), &end, 10);
-    if (end == w.c_str() || *end != '\0' || w[0] == '-')
+    const auto v = parse_number<std::uint64_t>(w);
+    if (!v)
       fail(std::string("bad unsigned integer for ") + what + ": '" + w + "'");
-    return v;
+    return *v;
   }
 
   double real(const char* what) {
@@ -178,12 +178,10 @@ CampaignSpec parse_campaign_spec(const std::string& text) {
                                 : spec.replica_base;
       std::string w;
       while (p.rest >> w) {
-        char* end = nullptr;
-        const std::uint64_t n = std::strtoull(w.c_str(), &end, 10);
-        if (end == w.c_str() || *end != '\0' || w[0] == '-' ||
-            n > 0x7fffffffull)
+        const auto n = parse_number<std::uint64_t>(w);
+        if (!n || *n > 0x7fffffffull)
           p.fail("bad per-scenario count '" + w + "'");
-        v.push_back(static_cast<int>(n));
+        v.push_back(static_cast<int>(*n));
       }
       if (v.empty()) p.fail("needs at least one per-scenario count");
     } else if (p.key == "master_seed") {

@@ -1,13 +1,12 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/parse_number.hpp"
 
 namespace emutile {
 
@@ -162,22 +161,15 @@ std::string MetricsSnapshot::to_json() const {
 
 namespace {
 
-/// Strict decimal u64: digits only, full consume, overflow rejected. The
-/// wire exposition may arrive corrupted from a peer, so every numeric field
-/// goes through this instead of std::stoull (which throws std::out_of_range
-/// / std::invalid_argument outside the CheckError contract).
+/// The wire exposition may arrive corrupted from a peer, so every numeric
+/// field is parsed strictly and fails as a CheckError naming the line.
 std::uint64_t parse_u64_strict(const std::string& digits,
                                const std::string& line) {
-  EMUTILE_CHECK(!digits.empty(), "empty number in metrics line: " << line);
-  for (const char c : digits)
-    EMUTILE_CHECK(c >= '0' && c <= '9',
-                  "non-numeric value in metrics line: " << line);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(digits.c_str(), &end, 10);
-  EMUTILE_CHECK(errno != ERANGE && end == digits.c_str() + digits.size(),
-                "overflowing value in metrics line: " << line);
-  return static_cast<std::uint64_t>(v);
+  const auto value = parse_number<std::uint64_t>(digits);
+  EMUTILE_CHECK(value.has_value(),
+                "bad unsigned value '" << digits << "' in metrics line: "
+                                       << line);
+  return *value;
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 #include "obs/trace_io.hpp"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <unordered_set>
 
 #include "util/check.hpp"
+#include "util/parse_number.hpp"
 
 namespace emutile {
 
@@ -41,17 +40,11 @@ std::uint64_t parse_u64_field(const std::string& token, std::string_view key,
   const std::string prefix = std::string(key) + "=";
   EMUTILE_CHECK(token.rfind(prefix, 0) == 0,
                 "trace: expected " << key << "= in: " << line);
-  const std::string digits = token.substr(prefix.size());
-  EMUTILE_CHECK(!digits.empty(), "trace: empty " << key << " in: " << line);
-  for (const char c : digits)
-    EMUTILE_CHECK(c >= '0' && c <= '9',
-                  "trace: non-numeric " << key << " in: " << line);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(digits.c_str(), &end, 10);
-  EMUTILE_CHECK(errno != ERANGE && end == digits.c_str() + digits.size(),
-                "trace: " << key << " out of range in: " << line);
-  return static_cast<std::uint64_t>(v);
+  const auto value = parse_number<std::uint64_t>(
+      std::string_view(token).substr(prefix.size()));
+  EMUTILE_CHECK(value.has_value(),
+                "trace: bad unsigned " << key << " in: " << line);
+  return *value;
 }
 
 void append_json_string(std::ostringstream& os, std::string_view s) {

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
-#include <string_view>
 #include <system_error>
 #include <utility>
 
@@ -15,7 +14,6 @@
 #include "obs/trace_io.hpp"
 #include "service/service_client.hpp"
 #include "util/check.hpp"
-#include "util/file_io.hpp"
 #include "util/log.hpp"
 
 namespace emutile {
@@ -54,10 +52,8 @@ struct CampaignCoordinator::ShardWork {
   int preferred_instance = -1;
   std::size_t instance_index = 0;           ///< valid while kRemote
   Clock::time_point last_progress{};        ///< last observed forward motion
-  std::filesystem::path spool_out_dir;      ///< discovered out dir (spool)
-  /// The shard's parked WAIT (wire instances, while kRemote): its socket
-  /// turns readable when the remote campaign turns terminal. Closed on
-  /// every way out of kRemote.
+  /// The shard's parked WAIT (while kRemote): its socket turns readable when
+  /// the remote campaign turns terminal. Closed on every way out of kRemote.
   PendingWait wait;
   CampaignReport report;                    ///< valid once kDone
 };
@@ -71,9 +67,8 @@ struct CampaignCoordinator::InstanceState {
   /// Retired instances (dropped from a reloaded fleet config) take no new
   /// dispatches but their in-flight shards are still polled and collected.
   bool retired = false;
-  /// Lazily-dialed persistent client (wire instances only). Reset whenever
-  /// the instance is presumed dead, so a replacement daemon gets a fresh
-  /// HELLO probe.
+  /// Lazily-dialed persistent client. Reset whenever the instance is presumed
+  /// dead, so a replacement daemon gets a fresh HELLO probe.
   std::unique_ptr<ServiceClient> client;
   /// Job ranges this instance has been asked to run — its caches plausibly
   /// hold these sessions, which is what cache-affinity placement scores.
@@ -167,32 +162,18 @@ bool CampaignCoordinator::dispatch(ShardWork& shard) {
     const std::string traceparent = format_traceparent(dispatch_ctx);
     const std::uint64_t dispatch_start_us = journal_now_us();
     try {
-      if (instance.config.address.is_wire()) {
-        ServiceClient& client = client_for(instance);
-        shard.progress.campaign_id = client.submit(
-            shard.text, options_.priority, name_hint, traceparent);
-        // Park a WAIT right away: its reply is what wakes the supervision
-        // loop when the shard finishes. If it cannot be opened, the STATUS
-        // poll still supervises the shard.
-        try {
-          shard.wait = client.start_wait(shard.progress.campaign_id);
-        } catch (const ServiceError& e) {
-          EMUTILE_WARN("shard " << shard.progress.shard << " on '"
-                                << instance.config.name
-                                << "': no WAIT parked (" << e.what()
-                                << ") — supervising by STATUS only");
-        }
-      } else {
-        // Spool instances get the spec dropped into <root>/spool; the id is
-        // daemon-assigned, so poll_shard discovers the output directory by
-        // matching the canonical spec text instead. The traceparent rides a
-        // comment line the canonical serialization never carries, so the
-        // spec-text matching below still works on the out dir's spec.txt.
-        shard.progress.campaign_id.clear();
-        shard.spool_out_dir.clear();
-        static_cast<void>(spool_submit_spec(
-            instance.config.address.path, name_hint,
-            prepend_traceparent(shard.text, traceparent)));
+      ServiceClient& client = client_for(instance);
+      shard.progress.campaign_id = client.submit(shard.text, options_.priority,
+                                                 name_hint, traceparent);
+      // Park a WAIT right away: its reply is what wakes the supervision loop
+      // when the shard finishes. If it cannot be opened, the STATUS poll
+      // still supervises the shard.
+      try {
+        shard.wait = client.start_wait(shard.progress.campaign_id);
+      } catch (const ServiceError& e) {
+        EMUTILE_WARN("shard " << shard.progress.shard << " on '"
+                              << instance.config.name << "': no WAIT parked ("
+                              << e.what() << ") — supervising by STATUS only");
       }
     } catch (const ServiceError& e) {
       switch (e.code()) {
@@ -352,86 +333,41 @@ void CampaignCoordinator::poll_shard(ShardWork& shard) {
            Clock::now() - shard.last_progress > options_.stall_deadline;
   };
 
-  if (instance.config.address.is_wire()) {
-    ServiceClient& client = client_for(instance);
-    try {
-      const RemoteCampaignStatus status =
-          client.status(shard.progress.campaign_id);
-      if (status.daemon_draining && instance.healthy) {
-        // Rolling upgrade in progress: stop handing this instance new
-        // shards, but keep polling — a draining daemon finishes (or
-        // journals) what it already holds, and this shard is collected
-        // below like any other.
-        EMUTILE_WARN("fleet instance '" << instance.config.name
-                                        << "' is draining — rotating out");
-        instance.healthy = false;
-      }
-      if (status.sessions_done > shard.progress.sessions_done)
-        shard.last_progress = Clock::now();
-      shard.progress.sessions_done = status.sessions_done;
-      if (status.state == "finished") {
-        // Already terminal, so WAIT returns immediately — it confirms the
-        // final report hit the disk before we fetch it.
-        static_cast<void>(client.wait(shard.progress.campaign_id,
-                                      options_.request_timeout_ms));
-        collect(shard, parse_campaign_report(client.fetch_shard_report(
-                           shard.progress.campaign_id)));
-      } else if (status.terminal()) {
-        // failed or cancelled out from under us: the instance answered, so
-        // it stays healthy, but this shard needs a new home.
-        give_back(shard, "campaign ended " + status.state,
-                  /*instance_dead=*/false);
-      } else if (stalled()) {
-        try {
-          client.cancel(shard.progress.campaign_id);  // best-effort
-        } catch (const std::exception&) {
-        }
-        give_back(shard, "no progress past the stall deadline",
-                  /*instance_dead=*/true);
-      }
-    } catch (const std::exception& e) {
-      give_back(shard, e.what(), /*instance_dead=*/true);
-    }
-    return;
-  }
-
-  // Spool instance: discover the output directory by canonical spec text,
-  // then watch for the shard report (written atomically, so it reads whole
-  // or not at all).
+  ServiceClient& client = client_for(instance);
   try {
-    const std::filesystem::path out = instance.config.address.path / "out";
-    if (shard.spool_out_dir.empty() && std::filesystem::exists(out)) {
-      for (const auto& entry : std::filesystem::directory_iterator(out)) {
-        if (!entry.is_directory()) continue;
-        const std::filesystem::path spec_file = entry.path() / "spec.txt";
-        std::error_code ec;
-        if (!std::filesystem::exists(spec_file, ec)) continue;
-        try {
-          if (read_file(spec_file) == shard.text) {
-            shard.spool_out_dir = entry.path();
-            shard.last_progress = Clock::now();
-            break;
-          }
-        } catch (const std::exception&) {
-          // A vanished or unreadable dir is another campaign's business.
-        }
-      }
+    const RemoteCampaignStatus status =
+        client.status(shard.progress.campaign_id);
+    if (status.daemon_draining && instance.healthy) {
+      // Rolling upgrade in progress: stop handing this instance new shards,
+      // but keep polling — a draining daemon finishes (or journals) what it
+      // already holds, and this shard is collected below like any other.
+      EMUTILE_WARN("fleet instance '" << instance.config.name
+                                      << "' is draining — rotating out");
+      instance.healthy = false;
     }
-    if (!shard.spool_out_dir.empty()) {
-      if (std::filesystem::exists(shard.spool_out_dir / "report.shard")) {
-        collect(shard, load_campaign_report_file(shard.spool_out_dir /
-                                                 "report.shard"));
-        return;
+    if (status.sessions_done > shard.progress.sessions_done)
+      shard.last_progress = Clock::now();
+    shard.progress.sessions_done = status.sessions_done;
+    if (status.state == "finished") {
+      // Already terminal, so WAIT returns immediately — it confirms the
+      // final report hit the disk before we fetch it.
+      static_cast<void>(client.wait(shard.progress.campaign_id,
+                                    options_.request_timeout_ms));
+      collect(shard, parse_campaign_report(client.fetch_shard_report(
+                         shard.progress.campaign_id)));
+    } else if (status.terminal()) {
+      // failed or cancelled out from under us: the instance answered, so it
+      // stays healthy, but this shard needs a new home.
+      give_back(shard, "campaign ended " + status.state,
+                /*instance_dead=*/false);
+    } else if (stalled()) {
+      try {
+        client.cancel(shard.progress.campaign_id);  // best-effort
+      } catch (const std::exception&) {
       }
-      if (std::filesystem::exists(shard.spool_out_dir / "error.txt")) {
-        give_back(shard, "campaign failed (error.txt present)",
-                  /*instance_dead=*/false);
-        return;
-      }
-    }
-    if (stalled())
       give_back(shard, "no progress past the stall deadline",
                 /*instance_dead=*/true);
+    }
   } catch (const std::exception& e) {
     give_back(shard, e.what(), /*instance_dead=*/true);
   }
@@ -469,15 +405,12 @@ void CampaignCoordinator::maybe_steal() {
   for (const auto& shard : shards_)
     if (shard->progress.state == ShardState::kPending) return;
 
-  // An idle instance: healthy, accepting work, on the wire (a spool
-  // instance's progress is invisible until completion — never steal for
-  // one), and serving no in-flight shard.
+  // An idle instance: healthy, accepting work, and serving no in-flight
+  // shard.
   std::size_t idle = instances_.size();
   for (std::size_t i = 0; i < instances_.size(); ++i) {
     const InstanceState& instance = instances_[i];
-    if (!instance.healthy || instance.retired ||
-        !instance.config.address.is_wire())
-      continue;
+    if (!instance.healthy || instance.retired) continue;
     bool busy = false;
     for (const auto& shard : shards_)
       busy = busy || (shard->progress.state == ShardState::kRemote &&
@@ -489,14 +422,13 @@ void CampaignCoordinator::maybe_steal() {
   }
   if (idle == instances_.size()) return;
 
-  // The victim: the in-flight wire shard with the most remaining sessions.
+  // The victim: the in-flight shard with the most remaining sessions.
   // measure_baselines shards assign baseline scenarios round-robin by shard
   // index, which slicing would disturb — leave them whole.
   ShardWork* victim = nullptr;
   std::size_t most_remaining = 0;
   for (const auto& shard : shards_) {
     if (shard->progress.state != ShardState::kRemote) continue;
-    if (!instances_[shard->instance_index].config.address.is_wire()) continue;
     if (shard->spec.measure_baselines) continue;
     const std::size_t done =
         std::min(shard->progress.sessions_done, shard->progress.sessions_total);
@@ -546,7 +478,6 @@ void CampaignCoordinator::maybe_steal() {
   victim->progress.campaign_id.clear();
   victim->progress.sessions_done = 0;
   victim->progress.sessions_total = victim->spec.expand().size();
-  victim->spool_out_dir.clear();
   victim->last_progress = Clock::now();
   // No preference: cache affinity routes the narrowed front half straight
   // back to the instance that was already running it.
@@ -657,6 +588,9 @@ OrchestrationResult CampaignCoordinator::run(const CampaignSpec& spec) {
                 "the coordinator shards the spec itself — pass it unsharded");
   EMUTILE_CHECK(!spec.sliced(),
                 "the coordinator slices the spec itself — pass it unsliced");
+  EMUTILE_CHECK(options_.poll_interval.count() > 0,
+                "poll_interval must be positive (got "
+                    << options_.poll_interval.count() << " ms)");
   // A coordinator may be reused: each run's counters start from zero.
   rr_cursor_ = 0;
   redispatches_ = 0;
@@ -746,7 +680,7 @@ OrchestrationResult CampaignCoordinator::run(const CampaignSpec& spec) {
     const bool tick = Clock::now() >= next_tick;
     poll_membership();
 
-    // Re-probe unhealthy wire instances on the reprobe cadence: a PING
+    // Re-probe unhealthy instances on the reprobe cadence: a PING
     // answered means a live daemon is back on that address (typically the
     // upgraded replacement of a drained one, re-attached to the same root)
     // and it rejoins the rotation. A dead address fails the connect inside
@@ -755,9 +689,7 @@ OrchestrationResult CampaignCoordinator::run(const CampaignSpec& spec) {
         Clock::now() - last_reprobe >= options_.reprobe_interval) {
       last_reprobe = Clock::now();
       for (InstanceState& instance : instances_) {
-        if (instance.healthy || instance.retired ||
-            !instance.config.address.is_wire())
-          continue;
+        if (instance.healthy || instance.retired) continue;
         if (client_for(instance).ping()) {
           EMUTILE_WARN("fleet instance '" << instance.config.name
                                           << "' answered a re-probe — "
@@ -835,14 +767,13 @@ OrchestrationResult CampaignCoordinator::run(const CampaignSpec& spec) {
   result.shards.reserve(shards_.size());
   for (const auto& shard : shards_) result.shards.push_back(shard->progress);
 
-  // Fleet-wide observability: fold every reachable wire instance's
+  // Fleet-wide observability: fold every reachable instance's
   // registry into one snapshot (integral values, so the merged series equal
   // the per-instance sums exactly). Best-effort — a dead instance loses its
   // metrics, never the run. Retired instances are still asked: they may
   // have served shards before leaving.
   if (options_.collect_metrics) {
     for (InstanceState& instance : instances_) {
-      if (!instance.config.address.is_wire()) continue;
       try {
         result.fleet_metrics.merge(
             parse_metrics_text(client_for(instance).fetch_metrics()));
@@ -858,8 +789,7 @@ OrchestrationResult CampaignCoordinator::run(const CampaignSpec& spec) {
                                {{"instances", result.metrics_instances}});
   }
 
-  // Fleet trace stitching: close the run root, then pull every wire
-  // instance's span buffer over TRACESPANS and splice it onto the local
+  // Fleet trace stitching: close the run root, then pull every instance's span buffer over TRACESPANS and splice it onto the local
   // clock. journal_now_us() is a per-process epoch, so remote stamps mean
   // nothing here as-is; the reply's now_us was taken roughly at the
   // exchange midpoint, so midpoint - now_us estimates the remote→local
@@ -874,7 +804,6 @@ OrchestrationResult CampaignCoordinator::run(const CampaignSpec& spec) {
     std::vector<TraceSpan> stitched =
         tracer.collect_trace(run_root_.trace_id, /*include_open=*/false);
     for (InstanceState& instance : instances_) {
-      if (!instance.config.address.is_wire()) continue;
       try {
         ServiceClient& client = client_for(instance);
         const std::uint64_t t0 = journal_now_us();

@@ -11,17 +11,16 @@
 /// reports byte-identically to an unsharded run_campaign. What the
 /// coordinator adds is the traffic engineering in between:
 ///
-///   dispatch     shards are SUBMITted over the healthy instances (wire
-///                instances — unix: or tcp: addresses — via ServiceClient,
-///                spool instances by dropping the shard spec into
-///                <root>/spool). Placement prefers the instance whose
-///                result/baseline caches already hold a shard's sessions
-///                (the coordinator remembers which job ranges each instance
-///                has seen); ties fall back to round-robin
-///   supervision  completion-driven: every shard on a wire instance has
-///                one WAIT parked on its own connection, and the loop's
-///                only wait is one poll(2) over those sockets, so a shard
-///                is collected the moment its campaign turns terminal.
+///   dispatch     shards are SUBMITted over the healthy instances (unix:
+///                or tcp: addresses, via ServiceClient). Placement prefers
+///                the instance whose result/baseline caches already hold a
+///                shard's sessions (the coordinator remembers which job
+///                ranges each instance has seen); ties fall back to
+///                round-robin
+///   supervision  completion-driven: every in-flight shard has one WAIT
+///                parked on its own connection, and the loop's only wait is
+///                one poll(2) over those sockets, so a shard is collected
+///                the moment its campaign turns terminal.
 ///                STATUS is polled every poll_interval for what WAIT cannot
 ///                say — progress, stalls, draining, steal decisions — and
 ///                per-instance progress and merged totals stream out via
@@ -53,8 +52,8 @@
 ///                ServiceError code `draining` on SUBMIT and draining=1 on
 ///                STATUS) is taken out of the dispatch rotation but its
 ///                in-flight shards are still collected — it finishes what
-///                it holds. Unhealthy wire instances are re-probed with
-///                PING every reprobe_interval, so a replacement daemon on
+///                it holds. Unhealthy instances are re-probed with PING
+///                every reprobe_interval, so a replacement daemon on
 ///                the same address (restarted with --attach) rejoins the
 ///                rotation mid-run — the fleet rolls through an upgrade one
 ///                instance at a time without losing submitted work
@@ -68,8 +67,8 @@
 ///                answering cancelled/failed re-dispatches the shard; one
 ///                that errors or drops falls through to STATUS, so a dead
 ///                instance's shard moves without waiting for the tick.
-///                Spool instances are watched on the tick. The fleet trace
-///                stitch asks each instance for this run's spans only
+///                The fleet trace stitch asks each instance for this run's
+///                spans only
 ///
 /// Determinism contract: run() returns a report whose to_csv()/to_json()
 /// bytes equal a direct run_campaign(spec) of the same unsharded spec, no
@@ -134,23 +133,20 @@ struct CoordinatorOptions {
   std::size_t num_shards = 0;
   /// Priority forwarded to every SUBMIT.
   int priority = 0;
-  /// STATUS poll cadence: progress, stall detection, draining, work
-  /// stealing, and spool-instance completion. Wire shards are collected
-  /// when their WAIT answers, not on this cadence.
+  /// STATUS poll cadence: progress, stall detection, draining and work
+  /// stealing. Shards are collected when their WAIT answers, not on this
+  /// cadence. Must be positive.
   std::chrono::milliseconds poll_interval{200};
   /// Re-dispatch a shard whose instance reported no progress for this long
-  /// (0 disables stall detection). This is also the only way a *dead*
-  /// spool-addressed instance is ever detected — dropping a spec into its
-  /// spool cannot fail the way a socket connect does — so the default is on,
-  /// generously. Spool instances only surface progress at completion; size
-  /// the deadline to the slowest expected shard, not the slowest session
-  /// (an over-eager deadline still converges: after exhausting the fleet
-  /// the shard runs in-process, merely wasting remote work).
+  /// (0 disables stall detection): how a daemon that still accepts
+  /// connections but has hung is caught. Size it to the slowest expected
+  /// session (an over-eager deadline still converges: after exhausting the
+  /// fleet the shard runs in-process, merely wasting remote work).
   std::chrono::milliseconds stall_deadline{600'000};
-  /// Per-exchange receive timeout for wire instances.
+  /// Per-exchange receive timeout.
   int request_timeout_ms = 30'000;
-  /// PING unhealthy wire instances on this cadence and return answering
-  /// ones to the dispatch rotation — how a daemon restarted on the same
+  /// PING unhealthy instances on this cadence and return answering ones
+  /// to the dispatch rotation — how a daemon restarted on the same
   /// address (rolling upgrade with --attach) rejoins a run in progress.
   /// Dead addresses keep failing the ping and stay out. 0 disables
   /// re-probing.
@@ -170,8 +166,8 @@ struct CoordinatorOptions {
   /// Streamed once per supervision pass — every poll tick and every WAIT
   /// that wakes the loop — with the current fleet aggregate.
   std::function<void(const FleetSnapshot&)> on_snapshot;
-  /// After every shard is collected, fetch METRICS from each wire instance
-  /// and merge the registries into OrchestrationResult::fleet_metrics — the
+  /// After every shard is collected, fetch METRICS from each instance and
+  /// merge the registries into OrchestrationResult::fleet_metrics — the
   /// fleet-wide observability view next to the fleet-wide report. Instances
   /// that fail the fetch are skipped (metrics are never worth a re-dispatch).
   bool collect_metrics = true;
@@ -184,7 +180,7 @@ struct CoordinatorOptions {
   /// re-used coordinator keeps one trace per invocation.
   TraceContext trace{};
   /// After every shard is collected, fetch this run's spans (TRACESPANS
-  /// <trace id>) from each wire instance, shift them onto the local clock
+  /// <trace id>) from each instance, shift them onto the local clock
   /// (clock-offset correction via the request/reply midpoint), and stitch
   /// everything reachable under this run's trace id into
   /// OrchestrationResult::fleet_trace. Same best-effort stance as
@@ -204,13 +200,13 @@ struct OrchestrationResult {
   std::size_t affinity_dispatches = 0;
   std::size_t joined_instances = 0;  ///< instances that joined mid-campaign
   std::vector<ShardProgress> shards;  ///< final per-shard state
-  /// Sum of every reachable wire instance's metrics registry (counters
-  /// add, histogram buckets add — see MetricsSnapshot::merge). Empty when
+  /// Sum of every reachable instance's metrics registry (counters add,
+  /// histogram buckets add — see MetricsSnapshot::merge). Empty when
   /// collect_metrics is off or no instance answered.
   MetricsSnapshot fleet_metrics;
   std::size_t metrics_instances = 0;  ///< instances that contributed
   /// Closed spans from this run's trace, stitched across the fleet: the
-  /// coordinator's own spans plus every reachable wire instance's, clock-
+  /// coordinator's own spans plus every reachable instance's, clock-
   /// offset-corrected, deduplicated by span id, sorted by start. Empty when
   /// collect_trace is off.
   std::vector<TraceSpan> fleet_trace;

@@ -52,8 +52,7 @@ FleetConfig parse_fleet_config(const std::string& text) {
     std::string scheme;
     if (kind == "socket" || kind == "unix") scheme = "unix:";
     else if (kind == "tcp") scheme = "tcp:";
-    else if (kind == "spool") scheme = "spool:";
-    else fail("unknown address kind '" + kind + "' (socket|tcp|spool)");
+    else fail("unknown address kind '" + kind + "' (socket|tcp)");
     try {
       instance.address = parse_service_address(scheme + value);
     } catch (const CheckError& e) {
@@ -85,9 +84,6 @@ std::string serialize_fleet_config(const FleetConfig& config) {
         break;
       case AddressKind::kTcp:
         os << "tcp " << instance.address.host << ":" << instance.address.port;
-        break;
-      case AddressKind::kSpool:
-        os << "spool " << instance.address.path.string();
         break;
     }
     os << "\n";

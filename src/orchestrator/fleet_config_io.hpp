@@ -9,20 +9,15 @@
 ///   emutile-fleet v1
 ///   instance alpha socket /var/emutile-a/serviced.sock
 ///   instance beta  tcp    10.0.0.7:7733
-///   instance gamma spool  /var/emutile-c
 ///   end
 ///
-/// Three address kinds (the ServiceAddress schemes of address.hpp):
+/// Two address kinds (the ServiceAddress schemes of address.hpp), both the
+/// full wire protocol:
 ///   socket <path>       the instance's Unix control socket — full protocol
 ///                       (SUBMIT/STATUS/WAIT/SHARDREPORT), live progress.
 ///                       `unix` is accepted as a synonym on input.
 ///   tcp <host:port>     the instance's TCP control endpoint — same protocol,
 ///                       cross-host
-///   spool <root>        the instance's service *root* directory — the
-///                       coordinator drops shard specs into <root>/spool and
-///                       watches <root>/out for the shard report; degraded
-///                       but works with --no-socket daemons and network
-///                       filesystems
 ///
 /// Instance names must be unique — they key health tracking, cache-affinity
 /// history, and membership reconciliation (a coordinator reloading the fleet
@@ -55,7 +50,7 @@ struct FleetConfig {
 [[nodiscard]] FleetConfig load_fleet_config_file(
     const std::filesystem::path& path);
 
-/// Canonical serialization (`socket`/`tcp`/`spool` kinds);
+/// Canonical serialization (`socket`/`tcp` kinds);
 /// parse(serialize(c)) reproduces `c`.
 [[nodiscard]] std::string serialize_fleet_config(const FleetConfig& config);
 

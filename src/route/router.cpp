@@ -507,7 +507,7 @@ bool Router::route_net(TaskState& state, Routing& routing,
       // kept edge forward always, and backward only between two wires.
       const int g = reached_kind;
       const auto& members = group_members[static_cast<std::size_t>(g)];
-      auto is_wire = [&](std::uint32_t v) {
+      auto is_channel = [&](std::uint32_t v) {
         const RrType ty = rr_->node(RrNodeId{v}).type;
         return ty == RrType::kChanX || ty == RrType::kChanY;
       };
@@ -520,7 +520,7 @@ bool Router::route_net(TaskState& state, Routing& routing,
         const std::uint32_t parent =
             kept.nodes[static_cast<std::size_t>(kp)].value();
         adj[parent].push_back(child);  // forward: always valid
-        if (is_wire(parent) && is_wire(child))
+        if (is_channel(parent) && is_channel(child))
           adj[child].push_back(parent);  // reverse: wires only
       }
       std::vector<std::uint32_t> queue{reached_node.value()};

@@ -10,10 +10,10 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
 #include "util/check.hpp"
+#include "util/parse_number.hpp"
 
 namespace emutile {
 
@@ -57,7 +57,6 @@ const char* to_string(AddressKind kind) {
   switch (kind) {
     case AddressKind::kUnix: return "unix";
     case AddressKind::kTcp: return "tcp";
-    case AddressKind::kSpool: return "spool";
   }
   return "?";
 }
@@ -77,39 +76,23 @@ ServiceAddress ServiceAddress::tcp(std::string host, std::uint16_t port) {
   return a;
 }
 
-ServiceAddress ServiceAddress::spool(std::filesystem::path root) {
-  ServiceAddress a;
-  a.kind = AddressKind::kSpool;
-  a.path = std::move(root);
-  return a;
-}
-
 std::string ServiceAddress::to_string() const {
   switch (kind) {
     case AddressKind::kUnix: return "unix:" + path.string();
     case AddressKind::kTcp:
       return "tcp:" + host + ":" + std::to_string(port);
-    case AddressKind::kSpool: return "spool:" + path.string();
   }
   return "?";
 }
 
-ServiceAddress parse_service_address(const std::string& text,
-                                     AddressKind bare_kind) {
+ServiceAddress parse_service_address(const std::string& text) {
   EMUTILE_CHECK(!text.empty(), "empty service address");
-  const auto with_path = [&](AddressKind kind, const std::string& rest) {
-    EMUTILE_CHECK(!rest.empty(), "service address '"
-                                     << text << "' needs a path after '"
-                                     << to_string(kind) << ":'");
-    ServiceAddress a;
-    a.kind = kind;
-    a.path = rest;
-    return a;
-  };
-  if (text.rfind("unix:", 0) == 0)
-    return with_path(AddressKind::kUnix, text.substr(5));
-  if (text.rfind("spool:", 0) == 0)
-    return with_path(AddressKind::kSpool, text.substr(6));
+  if (text.rfind("unix:", 0) == 0) {
+    EMUTILE_CHECK(text.size() > 5, "service address '"
+                                       << text
+                                       << "' needs a path after 'unix:'");
+    return ServiceAddress::unix_socket(text.substr(5));
+  }
   if (text.rfind("tcp:", 0) == 0) {
     const std::string rest = text.substr(4);
     // host:port, splitting at the last colon so IPv6 literals keep theirs.
@@ -119,26 +102,19 @@ ServiceAddress parse_service_address(const std::string& text,
                   "tcp service address '" << text
                                           << "' must be tcp:host:port");
     const std::string port_text = rest.substr(colon + 1);
-    char* end = nullptr;
-    const unsigned long port = std::strtoul(port_text.c_str(), &end, 10);
-    EMUTILE_CHECK(end != port_text.c_str() && *end == '\0' && port <= 65535,
+    const auto port = parse_number<std::uint16_t>(port_text);
+    EMUTILE_CHECK(port.has_value(),
                   "bad tcp port '" << port_text << "' in '" << text << "'");
-    return ServiceAddress::tcp(rest.substr(0, colon),
-                               static_cast<std::uint16_t>(port));
+    return ServiceAddress::tcp(rest.substr(0, colon), *port);
   }
   EMUTILE_CHECK(text.find(':') == std::string::npos || text[0] == '/' ||
                     text.rfind("./", 0) == 0,
                 "unknown address scheme in '"
-                    << text << "' (unix:/path, tcp:host:port, spool:/dir)");
-  EMUTILE_CHECK(bare_kind != AddressKind::kTcp,
-                "tcp addresses have no bare form — use tcp:host:port");
-  return with_path(bare_kind, text);
+                    << text << "' (unix:/path, tcp:host:port)");
+  return ServiceAddress::unix_socket(text);
 }
 
 int dial_service_address(const ServiceAddress& address) {
-  EMUTILE_CHECK(address.is_wire(), "spool address "
-                                       << address.to_string()
-                                       << " has no wire protocol to dial");
   if (address.kind == AddressKind::kUnix) {
     const sockaddr_un addr = make_unix_sockaddr(address.path);
     const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -176,9 +152,6 @@ int dial_service_address(const ServiceAddress& address) {
 }
 
 int listen_service_address(const ServiceAddress& address, int backlog) {
-  EMUTILE_CHECK(address.is_wire(), "spool address "
-                                       << address.to_string()
-                                       << " cannot be listened on");
   const int type = SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK;
   if (address.kind == AddressKind::kUnix) {
     const sockaddr_un addr = make_unix_sockaddr(address.path);

@@ -11,15 +11,9 @@
 ///                                    port 0 takes an ephemeral port; read
 ///                                    the real one back with
 ///                                    bound_service_address().
-///   spool:/var/emutile-b             a serviced *root* directory: specs are
-///                                    dropped into <dir>/spool and reports
-///                                    read from <dir>/out — no wire protocol
 ///
-/// A bare string (no scheme) keeps its legacy meaning at each call site:
-/// parse_service_address's `bare_kind` says whether it names a Unix socket
-/// (ServiceClient, emutile_submit --socket) or a spool root (the fleet
-/// config's `spool` kind). Everything that serializes an address emits the
-/// canonical `to_string()` URI form.
+/// A bare string (no scheme) names a Unix socket path. Everything that
+/// serializes an address emits the canonical `to_string()` URI form.
 
 #include <cstdint>
 #include <filesystem>
@@ -28,47 +22,39 @@
 namespace emutile {
 
 enum class AddressKind : std::uint8_t {
-  kUnix,   ///< Unix-domain stream socket (wire protocol)
-  kTcp,    ///< TCP stream socket (wire protocol)
-  kSpool,  ///< serviced root directory (spool/ + out/; no wire protocol)
+  kUnix,  ///< Unix-domain stream socket
+  kTcp,   ///< TCP stream socket
 };
 
 [[nodiscard]] const char* to_string(AddressKind kind);
 
 struct ServiceAddress {
   AddressKind kind = AddressKind::kUnix;
-  std::filesystem::path path;  ///< kUnix: socket file; kSpool: root dir
+  std::filesystem::path path;  ///< kUnix only: socket file
   std::string host;            ///< kTcp only
   std::uint16_t port = 0;      ///< kTcp only (0 = ephemeral when listening)
 
   [[nodiscard]] static ServiceAddress unix_socket(std::filesystem::path p);
   [[nodiscard]] static ServiceAddress tcp(std::string host,
                                           std::uint16_t port);
-  [[nodiscard]] static ServiceAddress spool(std::filesystem::path root);
 
-  /// True when the instance speaks the wire protocol (SUBMIT/STATUS/...).
-  [[nodiscard]] bool is_wire() const { return kind != AddressKind::kSpool; }
-
-  /// Canonical URI form: `unix:/path`, `tcp:host:port`, `spool:/dir`.
+  /// Canonical URI form: `unix:/path`, `tcp:host:port`.
   [[nodiscard]] std::string to_string() const;
 
   friend bool operator==(const ServiceAddress&,
                          const ServiceAddress&) = default;
 };
 
-/// Parse an address URI. A bare string with no scheme is read as `bare_kind`
-/// (kUnix or kSpool — the two legacy meanings; kTcp never had a bare form).
+/// Parse an address URI. A bare string with no scheme is a Unix socket path.
 /// Throws CheckError on malformed input (unknown scheme, empty path, a tcp
 /// address without `host:port`, a port outside [0, 65535]).
-[[nodiscard]] ServiceAddress parse_service_address(
-    const std::string& text, AddressKind bare_kind = AddressKind::kUnix);
+[[nodiscard]] ServiceAddress parse_service_address(const std::string& text);
 
-/// Connect a blocking stream socket to a wire address (kUnix or kTcp; a
-/// spool address throws — it has no wire protocol). TCP connections get
+/// Connect a blocking stream socket to `address`. TCP connections get
 /// TCP_NODELAY. Returns the connected fd; throws CheckError on failure.
 [[nodiscard]] int dial_service_address(const ServiceAddress& address);
 
-/// Bind and listen on a wire address. A stale Unix socket file is replaced;
+/// Bind and listen on `address`. A stale Unix socket file is replaced;
 /// TCP listeners get SO_REUSEADDR, and port 0 binds an ephemeral port (read
 /// it back with bound_service_address). The listen fd is non-blocking, for
 /// the endpoint's reactor (which gives its accepted fds the same flag via

@@ -9,6 +9,7 @@
 
 #include "campaign/campaign_spec_io.hpp"
 #include "util/file_io.hpp"
+#include "util/parse_number.hpp"
 
 namespace emutile {
 
@@ -78,22 +79,19 @@ bool parse_record(const std::string& body, bool first, CampaignWal* wal,
         !parse_u64_hex(wal->spec_hash, &ignored)) {
       return fail(error, "bad spec hash: " + body);
     }
-    try {
-      wal->priority = std::stoi(priority.substr(9));
-    } catch (const std::exception&) {
-      return fail(error, "bad priority: " + body);
-    }
+    const auto parsed_priority =
+        parse_number<int>(std::string_view(priority).substr(9));
+    if (!parsed_priority) return fail(error, "bad priority: " + body);
+    wal->priority = *parsed_priority;
     return true;
   }
   if (kind == "session") {
     WalSessionRecord rec;
     std::string index, key;
     if (!(in >> index >> key)) return fail(error, "bad session: " + body);
-    try {
-      rec.index = static_cast<std::size_t>(std::stoull(index));
-    } catch (const std::exception&) {
-      return fail(error, "bad session index: " + body);
-    }
+    const auto parsed_index = parse_number<std::size_t>(index);
+    if (!parsed_index) return fail(error, "bad session index: " + body);
+    rec.index = *parsed_index;
     if (key != "-") {
       if (!parse_u64_hex(key, &rec.key)) {
         return fail(error, "bad session key: " + body);

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -14,6 +13,7 @@
 #include "obs/trace_io.hpp"
 #include "service/service_endpoint.hpp"
 #include "util/file_io.hpp"
+#include "util/parse_number.hpp"
 
 namespace emutile {
 
@@ -22,11 +22,15 @@ namespace {
 /// Parse `key=<number>` where the token is known to start with `key=`.
 std::size_t keyed_count(const std::string& token, const char* key) {
   const std::string prefix = std::string(key) + "=";
-  EMUTILE_CHECK(token.rfind(prefix, 0) == 0,
-                "malformed status token '" << token << "' (expected " << key
-                                           << "=...)");
-  return static_cast<std::size_t>(
-      std::strtoull(token.c_str() + prefix.size(), nullptr, 10));
+  const auto value =
+      token.rfind(prefix, 0) == 0
+          ? parse_number<std::size_t>(
+                std::string_view(token).substr(prefix.size()))
+          : std::nullopt;
+  EMUTILE_CHECK(value.has_value(), "malformed status token '"
+                                       << token << "' (expected " << key
+                                       << "=<count>)");
+  return *value;
 }
 
 /// First line of a (possibly multi-line) response, for error messages.
@@ -80,12 +84,7 @@ bool ServiceHello::has_cap(const std::string& cap) const {
 }
 
 ServiceClient::ServiceClient(ServiceAddress address, int timeout_ms)
-    : address_(std::move(address)), timeout_ms_(timeout_ms) {
-  EMUTILE_CHECK(address_.is_wire(),
-                "ServiceClient cannot dial spool address "
-                    << address_.to_string()
-                    << " — spool instances have no wire protocol");
-}
+    : address_(std::move(address)), timeout_ms_(timeout_ms) {}
 
 ServiceClient::ServiceClient(std::filesystem::path socket_path, int timeout_ms)
     : ServiceClient(ServiceAddress::unix_socket(std::move(socket_path)),
@@ -226,13 +225,13 @@ std::string ServiceClient::persistent_request(
                 "persistent channel to " << address_.to_string()
                                          << " sent a malformed frame header: "
                                          << header);
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(header.c_str() + 1, &end, 10);
-  EMUTILE_CHECK(end != header.c_str() + 1 && *end == '\0',
-                "persistent channel to " << address_.to_string()
-                                         << " sent a malformed frame header: "
-                                         << header);
-  return persistent_read_exact(static_cast<std::size_t>(n), deadline);
+  const auto n =
+      parse_number<std::size_t>(std::string_view(header).substr(1));
+  EMUTILE_CHECK(n.has_value(), "persistent channel to "
+                                   << address_.to_string()
+                                   << " sent a malformed frame header: "
+                                   << header);
+  return persistent_read_exact(*n, deadline);
 }
 
 // ---- request plumbing ------------------------------------------------------
@@ -289,12 +288,16 @@ RemoteCampaignStatus ServiceClient::status(const std::string& id) const {
                 "malformed STATUS line from " << address_.to_string() << ": "
                                               << line);
   const std::size_t slash = progress.find('/');
-  EMUTILE_CHECK(slash != std::string::npos,
+  const std::string_view fraction(progress);
+  const auto done = parse_number<std::size_t>(fraction.substr(0, slash));
+  const auto total =
+      slash == std::string::npos
+          ? std::nullopt
+          : parse_number<std::size_t>(fraction.substr(slash + 1));
+  EMUTILE_CHECK(done && total,
                 "malformed progress '" << progress << "' in STATUS line");
-  s.sessions_done =
-      static_cast<std::size_t>(std::strtoull(progress.c_str(), nullptr, 10));
-  s.sessions_total = static_cast<std::size_t>(
-      std::strtoull(progress.c_str() + slash + 1, nullptr, 10));
+  s.sessions_done = *done;
+  s.sessions_total = *total;
   s.cache_hits = keyed_count(hits, "hits");
   s.cache_misses = keyed_count(misses, "misses");
   s.snapshots = keyed_count(snapshots, "snapshots");

@@ -167,8 +167,7 @@ class PendingWait {
 class ServiceClient {
  public:
   /// `timeout_ms` bounds every exchange except wait() (which has its own);
-  /// negative blocks indefinitely. `address` must be a wire address (kUnix
-  /// or kTcp) — spool instances have no protocol to speak.
+  /// negative blocks indefinitely.
   explicit ServiceClient(ServiceAddress address, int timeout_ms = 30'000);
 
   /// Legacy form: a bare path is a Unix socket.
@@ -264,7 +263,7 @@ class ServiceClient {
 
  private:
   /// True when `request_text` should ride the persistent channel (enabled,
-  /// wire address, single line, daemon advertises `persist`).
+  /// single line, daemon advertises `persist`).
   [[nodiscard]] bool use_persistent(const std::string& request_text) const;
   /// One exchange over the persistent channel (dialing + PERSIST handshake
   /// on first use). Throws CheckError on any channel failure — the caller

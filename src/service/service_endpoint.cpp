@@ -20,6 +20,7 @@
 #include "util/check.hpp"
 #include "util/file_io.hpp"
 #include "util/log.hpp"
+#include "util/parse_number.hpp"
 
 namespace emutile {
 
@@ -681,11 +682,11 @@ std::string ServiceEndpoint::handle_request(const std::string& request) {
                 parse_traceparent(token.substr(std::strlen("traceparent="))))
           span_parent = *ctx;
       } else if (token.rfind("deadline_ms=", 0) == 0) {
-        try {
-          deadline_ms = std::stoull(token.substr(std::strlen("deadline_ms=")));
-        } catch (const std::exception&) {
+        const auto parsed = parse_number<std::uint64_t>(
+            std::string_view(token).substr(std::strlen("deadline_ms=")));
+        if (!parsed)
           return "ERR SUBMIT deadline_ms must be a non-negative integer\n";
-        }
+        deadline_ms = *parsed;
       } else if (name_hint.empty()) {
         name_hint = token;
       }

@@ -1,5 +1,5 @@
 // Address tests: the ServiceAddress URI grammar (parse/to_string
-// round-trips, the bare-string legacy forms, malformed-input rejection) and
+// round-trips, the bare Unix-socket path form, malformed-input rejection) and
 // the dial/listen plumbing on real sockets — Unix and TCP loopback,
 // ephemeral-port discovery through bound_service_address.
 
@@ -34,28 +34,16 @@ TEST(ServiceAddressParse, UriFormsRoundTripThroughToString) {
   EXPECT_EQ(tcp_addr.port, 7733);
   EXPECT_EQ(tcp_addr.to_string(), "tcp:build-07:7733");
 
-  const ServiceAddress spool_addr = parse_service_address("spool:/var/em-b");
-  EXPECT_EQ(spool_addr.kind, AddressKind::kSpool);
-  EXPECT_EQ(spool_addr.path, "/var/em-b");
-  EXPECT_EQ(spool_addr.to_string(), "spool:/var/em-b");
-
   // parse(to_string()) is the identity on every kind.
-  for (const ServiceAddress& addr : {unix_addr, tcp_addr, spool_addr})
-    EXPECT_EQ(parse_service_address(addr.to_string(),
-                                    AddressKind::kSpool),  // bare_kind unused
-              addr);
+  for (const ServiceAddress& addr : {unix_addr, tcp_addr})
+    EXPECT_EQ(parse_service_address(addr.to_string()), addr);
 }
 
 TEST(ServiceAddressParse, BareStringsKeepTheirLegacyMeaning) {
-  // ServiceClient / --socket context: bare means Unix socket.
+  // A bare path is a Unix socket.
   const ServiceAddress sock = parse_service_address("/tmp/d.sock");
   EXPECT_EQ(sock.kind, AddressKind::kUnix);
   EXPECT_EQ(sock.path, "/tmp/d.sock");
-  // Fleet-config `spool` kind context: bare means root dir.
-  const ServiceAddress root =
-      parse_service_address("/var/emutile-b", AddressKind::kSpool);
-  EXPECT_EQ(root.kind, AddressKind::kSpool);
-  EXPECT_EQ(root.path, "/var/emutile-b");
   // Relative paths stay addressable.
   EXPECT_EQ(parse_service_address("./serviced.sock").kind, AddressKind::kUnix);
 }
@@ -67,7 +55,6 @@ TEST(ServiceAddressParse, MalformedInputsThrow) {
   };
   reject("");                  // empty
   reject("unix:");             // empty path
-  reject("spool:");            // empty root
   reject("tcp:");              // no host:port
   reject("tcp:lonelyhost");    // no port
   reject("tcp::7733");         // empty host
@@ -75,13 +62,10 @@ TEST(ServiceAddressParse, MalformedInputsThrow) {
   reject("tcp:host:banana");   // non-numeric port
   reject("tcp:host:65536");    // port out of range
   reject("http:example.com");  // unknown scheme
+  reject("spool:/x");          // spool directories are not addresses
   // A bare string containing ':' that is not a path is an unknown scheme,
   // not silently a Unix socket named "http".
   reject("host:7733");
-  // kTcp never had a bare form — asking for one is a caller bug.
-  EXPECT_THROW(
-      static_cast<void>(parse_service_address("h", AddressKind::kTcp)),
-      CheckError);
 }
 
 TEST(ServiceAddressParse, Ipv6StyleHostsSplitOnTheLastColon) {
@@ -171,9 +155,6 @@ TEST(ServiceAddressSockets, DialFailuresThrowWithTheAddressInTheMessage) {
               std::string::npos)
         << e.what();
   }
-  EXPECT_THROW(
-      static_cast<void>(dial_service_address(ServiceAddress::spool("/tmp"))),
-      CheckError);
 }
 
 }  // namespace

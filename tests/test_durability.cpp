@@ -91,6 +91,14 @@ std::string corrupted(std::string line) {
   return line;
 }
 
+/// `body` as a journal line with a valid checksum (the writer's format).
+std::string checksummed(const std::string& body) {
+  char sum[9];
+  std::snprintf(sum, sizeof sum, "%08llx",
+                static_cast<unsigned long long>(fnv1a64(body) & 0xffffffffull));
+  return body + " #" + sum;
+}
+
 // ------------------------------------------------------------ WAL format ---
 
 TEST(CampaignWal, WriterRoundTripsThroughParser) {
@@ -178,6 +186,17 @@ TEST(CampaignWal, MidstreamDamagePoisonsTheWholeJournal) {
   // A lone damaged header has nothing to fall back on.
   write_wal_lines(path, {corrupted(good[0])});
   EXPECT_FALSE(load_campaign_wal(path).has_value());
+
+  // A checksum-valid record whose index is not a job index (a negative one
+  // would wrap to 2^64 - 1) is corruption, not a session.
+  ASSERT_EQ(checksummed("session 1 00000000000000bb"), good[2]);
+  for (const char* index : {"-1", "1x", "18446744073709551616"}) {
+    const std::string bad = checksummed(std::string("session ") + index + " -");
+    write_wal_lines(path, {good[0], good[1], bad});
+    std::string error;
+    EXPECT_FALSE(load_campaign_wal(path, &error).has_value()) << index;
+    EXPECT_NE(error.find("bad session index"), std::string::npos) << error;
+  }
 
   // Empty and missing files are poisoned too, never "valid and empty".
   write_wal_lines(path, {});

@@ -3,9 +3,9 @@
 // coordinator end-to-end — sharded orchestration over in-process serviced
 // instances, re-dispatch when an instance is killed mid-campaign, a rolling
 // drain-restart upgrade across the whole fleet, fleet-file membership
-// reloads, spool-addressed instances, the all-instances-down in-process
-// fallback, and completion-driven supervision (a parked WAIT collects or
-// re-dispatches a shard before the STATUS tick; no run leaks a socket).
+// reloads, the all-instances-down in-process fallback, and completion-driven
+// supervision (a parked WAIT collects or re-dispatches a shard before the
+// STATUS tick; no run leaks a socket).
 // The load-bearing assertion throughout: the merged fleet report is
 // byte-identical to a direct unsharded run_campaign of the same spec (with
 // a field-by-field differential cross-check explaining any divergence).
@@ -68,19 +68,17 @@ TEST(FleetConfigIo, RoundTripsAndToleratesCommentsAndBlanks) {
       "emutile-fleet v1\n"
       "\n"
       "instance alpha socket /var/emutile-a/serviced.sock\n"
-      "instance beta spool /var/emutile-b\n"
       "instance gamma tcp build-host:7733\n"
       "end\n";
   const FleetConfig fleet = parse_fleet_config(text);
-  ASSERT_EQ(fleet.instances.size(), 3u);
+  ASSERT_EQ(fleet.instances.size(), 2u);
   EXPECT_EQ(fleet.instances[0].name, "alpha");
   EXPECT_EQ(fleet.instances[0].address.kind, AddressKind::kUnix);
   EXPECT_EQ(fleet.instances[0].address.path, "/var/emutile-a/serviced.sock");
-  EXPECT_EQ(fleet.instances[1].name, "beta");
-  EXPECT_EQ(fleet.instances[1].address.kind, AddressKind::kSpool);
-  EXPECT_EQ(fleet.instances[2].address.kind, AddressKind::kTcp);
-  EXPECT_EQ(fleet.instances[2].address.host, "build-host");
-  EXPECT_EQ(fleet.instances[2].address.port, 7733);
+  EXPECT_EQ(fleet.instances[1].name, "gamma");
+  EXPECT_EQ(fleet.instances[1].address.kind, AddressKind::kTcp);
+  EXPECT_EQ(fleet.instances[1].address.host, "build-host");
+  EXPECT_EQ(fleet.instances[1].address.port, 7733);
 
   // serialize -> parse is the identity on the canonical form.
   const std::string canonical = serialize_fleet_config(fleet);
@@ -102,6 +100,7 @@ TEST(FleetConfigIo, MalformedInputsThrowWithContext) {
   reject("emutile-fleet v1\ninstance a socket\nend\n");  // missing path
   reject("emutile-fleet v1\ninstance a tcp 1.2.3.4\nend\n");   // no port
   reject("emutile-fleet v1\ninstance a pigeon /coop\nend\n");  // bad kind
+  reject("emutile-fleet v1\ninstance a spool /r\nend\n");     // no wire
   reject("emutile-fleet v1\ninstance a socket /s extra\nend\n");
   reject(
       "emutile-fleet v1\ninstance a socket /s\ninstance a socket /t\nend\n");
@@ -113,6 +112,17 @@ TEST(FleetConfigIo, MalformedInputsThrowWithContext) {
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+        << e.what();
+  }
+  // An unknown kind's error names the line and the kinds that exist.
+  try {
+    static_cast<void>(parse_fleet_config(
+        "emutile-fleet v1\ninstance a spool /r\nend\n"));
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "line 2: unknown address kind 'spool' (socket|tcp)"),
+              std::string::npos)
         << e.what();
   }
 }
@@ -900,39 +910,6 @@ TEST(CampaignCoordinator, FallbackDisabledThrowsWhenFleetIsDown) {
   EXPECT_THROW(static_cast<void>(coordinator.run(spec)), CheckError);
 }
 
-TEST(CampaignCoordinator, SpoolAddressedInstanceCompletesTheCampaign) {
-  // A daemon reachable only through its spool directory (--no-socket):
-  // shard specs go in via spool/, shard reports come back by watching out/.
-  ScratchDir scratch("coord-spool");
-  InProcessInstance host(scratch.path / "host", /*threads=*/2);
-
-  std::atomic<bool> stop{false};
-  std::thread spool_poller([&] {
-    while (!stop.load()) {
-      static_cast<void>(host.service->poll_spool());
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  });
-
-  FleetConfig fleet;
-  fleet.instances.push_back(
-      {"spooled", ServiceAddress::spool(host.config.root)});
-  CoordinatorOptions options;
-  options.num_shards = 2;  // both shards through the one spool instance
-  options.poll_interval = std::chrono::milliseconds(20);
-  CampaignCoordinator coordinator(fleet, options);
-  const CampaignSpec spec = sharded_test_spec(2, 8);
-  const OrchestrationResult result = coordinator.run(spec);
-  stop.store(true);
-  spool_poller.join();
-
-  EXPECT_EQ(result.num_shards, 2u);
-  EXPECT_EQ(result.local_shards, 0u);
-  const CampaignReport direct = run_campaign(spec);
-  EXPECT_EQ(result.report.to_json(), direct.to_json());
-  EXPECT_EQ(result.report.to_csv(), direct.to_csv());
-}
-
 TEST(CampaignCoordinator, RejectsAlreadyShardedSpecs) {
   FleetConfig fleet;
   fleet.instances.push_back(
@@ -940,6 +917,19 @@ TEST(CampaignCoordinator, RejectsAlreadyShardedSpecs) {
   CampaignCoordinator coordinator(fleet, {});
   const CampaignSpec spec = sharded_test_spec(1, 3).shard(0, 2);
   EXPECT_THROW(static_cast<void>(coordinator.run(spec)), CheckError);
+}
+
+TEST(CampaignCoordinator, RejectsANonPositivePollInterval) {
+  // A zero tick would poll STATUS for every in-flight shard on every pass
+  // of a loop that then never sleeps.
+  FleetConfig fleet;
+  fleet.instances.push_back(
+      {"a", ServiceAddress::unix_socket("/nowhere.sock")});
+  CoordinatorOptions options;
+  options.poll_interval = std::chrono::milliseconds(0);
+  CampaignCoordinator coordinator(fleet, options);
+  EXPECT_THROW(static_cast<void>(coordinator.run(sharded_test_spec(1, 3))),
+               CheckError);
 }
 
 }  // namespace

@@ -914,12 +914,17 @@ TEST(SessionService, QosAdmissionShedsOverQuotaAndPastDeadlineSubmits) {
   const std::string in_time =
       client.submit(small.str(), 0, "in-time", "", 3'600'000);
   EXPECT_EQ(client.wait(in_time), "finished");
-  // Malformed deadline tokens answer ERR instead of being ignored.
-  std::ostringstream garbled;
-  garbled << "SUBMIT 0 x deadline_ms=soon\n" << small.str();
-  EXPECT_EQ(endpoint_request(endpoint.socket_path(), garbled.str())
-                .rfind("ERR ", 0),
-            0u);
+  // Malformed deadline tokens answer ERR instead of being ignored, wrapped
+  // to a deadline that never sheds, or cut at the first non-digit (which
+  // would admit "3600000x" as the feasible hour above).
+  for (const char* bad :
+       {"soon", "-5", "5x", "3600000x", "18446744073709551616"}) {
+    std::ostringstream garbled;
+    garbled << "SUBMIT 0 x deadline_ms=" << bad << "\n" << small.str();
+    const std::string reply =
+        endpoint_request(endpoint.socket_path(), garbled.str());
+    EXPECT_EQ(reply.rfind("ERR ", 0), 0u) << bad << ": " << reply;
+  }
 
   // Shed SUBMITs are observable, and accepted work stays byte-identical.
   const MetricsSnapshot snap = MetricsRegistry::global().snapshot();

@@ -16,10 +16,11 @@
 ///                         [--metric detection|correction|debug-work]
 ///                         [--quiet]
 ///
-/// --poll-ms (default 200) is the STATUS cadence: progress lines, stall
-/// detection, draining, work stealing, and spool-instance completion. A
-/// shard on a wire instance is collected the moment its parked WAIT
-/// answers, so a longer cadence costs no completion latency.
+/// --poll-ms (default 200, at least 1) is the STATUS cadence: progress
+/// lines, stall detection, draining and work stealing. A shard is collected
+/// the moment its parked WAIT answers, so a longer cadence costs no
+/// completion latency. A numeric flag whose value is not a whole number in
+/// range prints the usage line and exits 2.
 ///
 /// The fleet is elastic mid-campaign: editing FLEET.cfg (or sending the
 /// process SIGHUP to force a re-read) joins newly-listed instances into the
@@ -49,6 +50,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -59,6 +61,7 @@
 #include "orchestrator/campaign_coordinator.hpp"
 #include "util/file_io.hpp"
 #include "util/log.hpp"
+#include "flag_number.hpp"
 
 using namespace emutile;
 
@@ -110,20 +113,23 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto number = [&](auto lo) {
+      return flag_number(arg, value(), lo, [&] { return usage(argv[0]); });
+    };
     if (arg == "--fleet") fleet_path = value();
     else if (arg == "--spec") spec_path = value();
     else if (arg == "--out") out_dir = value();
-    else if (arg == "--shards") options.num_shards = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--priority") options.priority = std::atoi(value());
-    else if (arg == "--poll-ms") options.poll_interval = std::chrono::milliseconds(std::strtol(value(), nullptr, 10));
-    else if (arg == "--stall-ms") options.stall_deadline = std::chrono::milliseconds(std::strtol(value(), nullptr, 10));
-    else if (arg == "--timeout-ms") options.request_timeout_ms = static_cast<int>(std::strtol(value(), nullptr, 10));
-    else if (arg == "--local-threads") options.local_threads = std::strtoull(value(), nullptr, 10);
+    else if (arg == "--shards") options.num_shards = number(std::size_t{0});
+    else if (arg == "--priority") options.priority = number(std::numeric_limits<int>::min());
+    else if (arg == "--poll-ms") options.poll_interval = std::chrono::milliseconds(number(1));
+    else if (arg == "--stall-ms") options.stall_deadline = std::chrono::milliseconds(number(0));
+    else if (arg == "--timeout-ms") options.request_timeout_ms = number(-1);
+    else if (arg == "--local-threads") options.local_threads = number(std::size_t{0});
     else if (arg == "--no-local-fallback") options.allow_local_fallback = false;
     else if (arg == "--adaptive") use_adaptive = true;
-    else if (arg == "--target-halfwidth") adaptive.target_halfwidth = std::strtod(value(), nullptr);
-    else if (arg == "--initial-sessions") adaptive.initial_sessions = std::atoi(value());
-    else if (arg == "--max-sessions") adaptive.max_total_sessions = std::strtoull(value(), nullptr, 10);
+    else if (arg == "--target-halfwidth") adaptive.target_halfwidth = number(0.0);
+    else if (arg == "--initial-sessions") adaptive.initial_sessions = number(1);
+    else if (arg == "--max-sessions") adaptive.max_total_sessions = number(std::size_t{0});
     else if (arg == "--metric") {
       const std::string metric = value();
       if (metric == "detection") adaptive.metric = AdaptiveMetric::kDetection;

@@ -68,6 +68,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -76,6 +77,7 @@
 #include "service/session_service.hpp"
 #include "util/file_io.hpp"
 #include "util/log.hpp"
+#include "flag_number.hpp"
 
 using namespace emutile;
 
@@ -115,7 +117,7 @@ int main(int argc, char** argv) {
   bool once = false;
   bool drain_on_exit = true;
   bool attach = false;
-  long poll_ms = 250;
+  int poll_ms = 250;
   double slow_request_ms = 1000.0;
   LogLevel log_level = LogLevel::kInfo;
 
@@ -128,24 +130,27 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto number = [&](auto lo) {
+      return flag_number(arg, value(), lo, [&] { return usage(argv[0]); });
+    };
     if (arg == "--root") config.root = value();
-    else if (arg == "--threads") config.num_threads = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--snapshot-every") config.snapshot_every = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--poll-ms") poll_ms = std::strtol(value(), nullptr, 10);
-    else if (arg == "--max-pending") config.max_pending = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--quota") config.session_quota = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--deadline-default-ms") config.deadline_default_ms = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--endpoint-workers") endpoint_options.workers = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--cache-max-bytes") config.cache_max_bytes = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--baseline-cache-entries") config.baseline_cache_entries = std::strtoull(value(), nullptr, 10);
+    else if (arg == "--threads") config.num_threads = number(std::size_t{1});
+    else if (arg == "--snapshot-every") config.snapshot_every = number(std::size_t{0});
+    else if (arg == "--poll-ms") poll_ms = number(1);
+    else if (arg == "--max-pending") config.max_pending = number(std::size_t{0});
+    else if (arg == "--quota") config.session_quota = number(std::size_t{0});
+    else if (arg == "--deadline-default-ms") config.deadline_default_ms = number(std::uint64_t{0});
+    else if (arg == "--endpoint-workers") endpoint_options.workers = number(std::size_t{0});
+    else if (arg == "--cache-max-bytes") config.cache_max_bytes = number(std::size_t{0});
+    else if (arg == "--baseline-cache-entries") config.baseline_cache_entries = number(std::size_t{0});
     else if (arg == "--no-cache") config.enable_cache = false;
     else if (arg == "--no-socket") use_socket = false;
     else if (arg == "--socket") socket_path = value();
     else if (arg == "--tcp") tcp_spec = value();
     else if (arg == "--no-journal") config.enable_journal = false;
     else if (arg == "--attach") attach = true;
-    else if (arg == "--slow-request-ms") slow_request_ms = std::strtod(value(), nullptr);
-    else if (arg == "--slow-session-multiple") config.slow_session_multiple = std::strtod(value(), nullptr);
+    else if (arg == "--slow-request-ms") slow_request_ms = number(0.0);
+    else if (arg == "--slow-session-multiple") config.slow_session_multiple = number(std::numeric_limits<double>::lowest());
     else if (arg == "--log-level") {
       const std::optional<LogLevel> parsed = parse_log_level(value());
       if (!parsed) {

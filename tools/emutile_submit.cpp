@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,7 @@
 #include "service/service_client.hpp"
 #include "util/check.hpp"
 #include "util/file_io.hpp"
+#include "flag_number.hpp"
 
 using namespace emutile;
 
@@ -73,11 +75,14 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto number = [&](auto lo) {
+      return flag_number(arg, value(), lo, [&] { return usage(argv[0]); });
+    };
     if (arg == "--root") root = value();
     else if (arg == "--socket") socket_arg = value();
     else if (arg == "--spool") force_spool = true;
-    else if (arg == "--priority") priority = std::atoi(value());
-    else if (arg == "--deadline-ms") deadline_ms = std::strtoull(value(), nullptr, 10);
+    else if (arg == "--priority") priority = number(std::numeric_limits<int>::min());
+    else if (arg == "--deadline-ms") deadline_ms = number(std::uint64_t{0});
     else if (arg == "--wait") wait = true;
     else if (arg == "--list") one_shot = "LIST";
     else if (arg == "--status") one_shot = std::string("STATUS ") + value();

@@ -1,12 +1,11 @@
 /// emutile_top — live fleet console for emutile_serviced instances.
 ///
-/// Polls every socket instance of a fleet config (STATUS via LIST, METRICS,
+/// Polls every instance of a fleet config (STATUS via LIST, METRICS,
 /// CACHE, TRACESPANS) on a refresh loop and renders one screen per tick:
 /// per-instance campaign counts, scheduler queue depth, cache hit rate,
 /// request-latency p50/p99, slow-request count — plus the slowest open
-/// spans fleet-wide (what each instance is doing *right now*). Spool
-/// instances have no live protocol and show as such. A dead instance shows
-/// as down and never stalls the loop.
+/// spans fleet-wide (what each instance is doing *right now*). A dead
+/// instance shows as down and never stalls the loop.
 ///
 ///   $ emutile_top --fleet FLEET.cfg [--interval-ms N] [--iterations N]
 ///                 [--timeout-ms N] [--no-clear]
@@ -32,6 +31,7 @@
 #include "orchestrator/fleet_config_io.hpp"
 #include "service/service_client.hpp"
 #include "util/log.hpp"
+#include "flag_number.hpp"
 
 using namespace emutile;
 
@@ -75,7 +75,6 @@ void count_campaigns(const std::string& list_reply, InstanceView& view) {
 InstanceView poll_instance(const FleetInstance& instance, int timeout_ms) {
   InstanceView view;
   view.config = &instance;
-  if (!instance.address.is_wire()) return view;
   const ServiceClient client(instance.address, timeout_ms);
   try {
     count_campaigns(client.list(), view);
@@ -136,12 +135,6 @@ void render(const std::vector<InstanceView>& views, std::size_t tick) {
          "  cache  req p50/p99 ms  slow\n";
   for (const InstanceView& view : views) {
     char line[160];
-    if (!view.config->address.is_wire()) {
-      std::snprintf(line, sizeof line, "  %-16s %-6s spool (no live stats)",
-                    view.config->name.c_str(), "spool");
-      out << line << "\n";
-      continue;
-    }
     if (!view.reachable) {
       std::snprintf(line, sizeof line, "  %-16s %-6s %s",
                     view.config->name.c_str(), "down",
@@ -199,7 +192,7 @@ void render(const std::vector<InstanceView>& views, std::size_t tick) {
 
 int main(int argc, char** argv) {
   std::filesystem::path fleet_path;
-  long interval_ms = 2000;
+  int interval_ms = 2000;
   std::size_t iterations = 0;
   int timeout_ms = 5000;
   bool clear_screen = true;
@@ -213,10 +206,13 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto number = [&](auto lo) {
+      return flag_number(arg, value(), lo, [&] { return usage(argv[0]); });
+    };
     if (arg == "--fleet") fleet_path = value();
-    else if (arg == "--interval-ms") interval_ms = std::strtol(value(), nullptr, 10);
-    else if (arg == "--iterations") iterations = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--timeout-ms") timeout_ms = static_cast<int>(std::strtol(value(), nullptr, 10));
+    else if (arg == "--interval-ms") interval_ms = number(0);
+    else if (arg == "--iterations") iterations = number(std::size_t{0});
+    else if (arg == "--timeout-ms") timeout_ms = number(-1);
     else if (arg == "--no-clear") clear_screen = false;
     else return usage(argv[0]);
   }
